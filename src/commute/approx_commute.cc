@@ -103,7 +103,7 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
   if (options.warm_start) {
     // Edge-keyed draws: stable under edge churn (see EdgeJlSeed).
-    for (const Edge& edge : graph.Edges()) {
+    for (const Edge& edge : SortedEdges(graph)) {
       Rng rng(EdgeJlSeed(options.seed, edge.u, edge.v));
       const double scale = std::sqrt(edge.weight) * inv_sqrt_k;
       double* bu = b.mutable_row(solver_row(edge.u));
@@ -119,7 +119,7 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
     // construction bit for bit.
     Rng rng(options.seed);
     std::vector<double> q(k);
-    for (const Edge& edge : graph.Edges()) {
+    for (const Edge& edge : SortedEdges(graph)) {
       const double scale = std::sqrt(edge.weight) * inv_sqrt_k;
       for (size_t r = 0; r < k; ++r) q[r] = rng.Rademacher() * scale;
       double* bu = b.mutable_row(solver_row(edge.u));

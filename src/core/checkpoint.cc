@@ -262,7 +262,7 @@ Status CheckpointReader::ExpectHeader() {
 
 void WriteWeightedGraph(CheckpointWriter* writer, const WeightedGraph& graph) {
   writer->WriteU64(graph.num_nodes());
-  const std::vector<Edge> edges = graph.Edges();
+  const SortedEdges edges(graph);
   writer->WriteU64(edges.size());
   for (const Edge& edge : edges) {
     writer->WriteU32(edge.u);
@@ -286,6 +286,7 @@ Result<WeightedGraph> ReadWeightedGraph(CheckpointReader* reader) {
     CAD_ASSIGN_OR_RETURN(weight, reader->ReadDouble());
     CAD_RETURN_NOT_OK(graph.SetEdge(u, v, weight));
   }
+  graph.Freeze();
   return graph;
 }
 

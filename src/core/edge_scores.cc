@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
+#include <cstdint>
 
 #include "common/check.h"
 
@@ -32,34 +32,34 @@ TransitionScores ComputeTransitionScores(const WeightedGraph& before,
   CAD_CHECK_EQ(oracle_after.num_nodes(), after.num_nodes());
   const size_t n = before.num_nodes();
 
-  // Union of edge supports.
-  std::vector<NodePair> support;
-  support.reserve(before.num_edges() + after.num_edges());
-  for (const Edge& e : before.Edges()) support.push_back(NodePair{e.u, e.v});
-  for (const Edge& e : after.Edges()) support.push_back(NodePair{e.u, e.v});
-  std::sort(support.begin(), support.end());
-  support.erase(std::unique(support.begin(), support.end()), support.end());
-
+  const SortedEdges before_edges(before);
+  const SortedEdges after_edges(after);
+  size_t union_size = 0;
+  MergeSortedEdges(before_edges, after_edges,
+                   [&](const Edge*, const Edge*) { ++union_size; });
   TransitionScores result;
-  result.edges.reserve(support.size());
+  result.edges.reserve(union_size);
   result.node_scores.assign(n, 0.0);
 
-  // First pass: raw deltas.
+  // First pass: raw deltas over the union of the two edge supports, one
+  // merge of the sorted lists (a missing edge has weight 0).
   double max_abs_weight_delta = 0.0;
   double max_abs_commute_delta = 0.0;
-  for (const NodePair& pair : support) {
+  const auto score = [&](const Edge* old_edge, const Edge* new_edge) {
+    const Edge& e = old_edge != nullptr ? *old_edge : *new_edge;
     ScoredEdge scored;
-    scored.pair = pair;
-    scored.weight_delta =
-        after.EdgeWeight(pair.u, pair.v) - before.EdgeWeight(pair.u, pair.v);
-    scored.commute_delta = oracle_after.CommuteTime(pair.u, pair.v) -
-                           oracle_before.CommuteTime(pair.u, pair.v);
+    scored.pair = NodePair{e.u, e.v};
+    scored.weight_delta = (new_edge != nullptr ? new_edge->weight : 0.0) -
+                          (old_edge != nullptr ? old_edge->weight : 0.0);
+    scored.commute_delta = oracle_after.CommuteTime(e.u, e.v) -
+                           oracle_before.CommuteTime(e.u, e.v);
     max_abs_weight_delta =
         std::max(max_abs_weight_delta, std::fabs(scored.weight_delta));
     max_abs_commute_delta =
         std::max(max_abs_commute_delta, std::fabs(scored.commute_delta));
     result.edges.push_back(scored);
-  }
+  };
+  MergeSortedEdges(before_edges, after_edges, score);
 
   // Second pass: fuse deltas into the selected score.
   for (ScoredEdge& scored : result.edges) {
@@ -92,11 +92,27 @@ TransitionScores ComputeTransitionScores(const WeightedGraph& before,
     result.node_scores[scored.pair.v] += scored.score;
   }
 
-  std::sort(result.edges.begin(), result.edges.end(),
+  // Order by score descending, ties by pair. The merge left the edges in
+  // pair order, so the zero scores (every unchanged edge under kCad/kAdj)
+  // are already in their final order: only the positive scores need a
+  // sort, and they go in front of the zeros.
+  std::vector<ScoredEdge> positive;
+  size_t zeros = 0;
+  for (const ScoredEdge& scored : result.edges) {
+    if (scored.score > 0.0) {
+      positive.push_back(scored);
+    } else {
+      result.edges[zeros++] = scored;
+    }
+  }
+  std::sort(positive.begin(), positive.end(),
             [](const ScoredEdge& a, const ScoredEdge& b) {
               if (a.score != b.score) return a.score > b.score;
               return a.pair < b.pair;
             });
+  std::move_backward(result.edges.begin(), result.edges.begin() + zeros,
+                     result.edges.end());
+  std::copy(positive.begin(), positive.end(), result.edges.begin());
   result.BuildSelectionIndex();
   return result;
 }
@@ -116,12 +132,20 @@ void TransitionScores::BuildSelectionIndex() {
     remaining -= edges[i].score;
   }
   prefix_nodes.assign(num_positive + 1, 0);
-  std::unordered_set<NodeId> seen;
-  seen.reserve(2 * num_positive);
+  NodeId max_node = 0;
   for (size_t i = 0; i < num_positive; ++i) {
-    seen.insert(edges[i].pair.u);
-    seen.insert(edges[i].pair.v);
-    prefix_nodes[i + 1] = seen.size();
+    max_node = std::max({max_node, edges[i].pair.u, edges[i].pair.v});
+  }
+  std::vector<uint8_t> seen(num_positive > 0 ? size_t{max_node} + 1 : 0, 0);
+  size_t distinct = 0;
+  for (size_t i = 0; i < num_positive; ++i) {
+    for (const NodeId node : {edges[i].pair.u, edges[i].pair.v}) {
+      if (seen[node] == 0) {
+        seen[node] = 1;
+        ++distinct;
+      }
+    }
+    prefix_nodes[i + 1] = distinct;
   }
 }
 

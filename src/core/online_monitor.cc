@@ -99,12 +99,13 @@ Status OnlineCadMonitor::GrowPreviousTo(size_t num_nodes) {
 }
 
 Result<std::optional<AnomalyReport>> OnlineCadMonitor::Observe(
-    const WeightedGraph& snapshot) {
+    WeightedGraph&& snapshot) {
   CAD_CHECK(!observing_) << "OnlineCadMonitor::Observe is not re-entrant; "
                             "serialize calls per monitor";
   observing_ = true;
   const uint64_t start_ns = Timer::NowNanos();
-  Result<std::optional<AnomalyReport>> result = ObserveImpl(snapshot);
+  Result<std::optional<AnomalyReport>> result =
+      ObserveImpl(std::move(snapshot));
   // Wall time is volatile, so it goes into a timer histogram (exported under
   // kind "timer", outside the deterministic-row contract) where mid-run
   // quantiles stay computable.
@@ -142,7 +143,8 @@ Result<std::optional<AnomalyReport>> OnlineCadMonitor::Observe(
 }
 
 Result<std::optional<AnomalyReport>> OnlineCadMonitor::ObserveImpl(
-    const WeightedGraph& snapshot) {
+    WeightedGraph snapshot) {
+  snapshot.Freeze();
   if (previous_snapshot_.has_value() &&
       snapshot.num_nodes() != previous_snapshot_->num_nodes()) {
     if (snapshot.num_nodes() < previous_snapshot_->num_nodes()) {
@@ -179,7 +181,7 @@ Result<std::optional<AnomalyReport>> OnlineCadMonitor::ObserveImpl(
   ++num_snapshots_;
 
   if (!previous_snapshot_.has_value()) {
-    previous_snapshot_ = snapshot;
+    previous_snapshot_ = std::move(snapshot);
     previous_oracle_ = std::move(oracle);
     return std::optional<AnomalyReport>();
   }
@@ -190,7 +192,7 @@ Result<std::optional<AnomalyReport>> OnlineCadMonitor::ObserveImpl(
       options_.detector.score_kind));
   ++num_transitions_total_;
   CAD_METRIC_INC("monitor.transitions");
-  previous_snapshot_ = snapshot;
+  previous_snapshot_ = std::move(snapshot);
   previous_oracle_ = std::move(oracle);
 
   // Sliding calibration window: drop the oldest scores once past capacity so

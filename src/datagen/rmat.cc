@@ -89,6 +89,8 @@ void DrawEndpoints(const QuadrantTable& table, size_t n, Rng* rng,
   *v_out = static_cast<NodeId>(off_v);
 }
 
+}  // namespace
+
 Status ValidateRmatOptions(const RmatOptions& options) {
   if (options.num_nodes < 2) {
     return Status::InvalidArgument("R-MAT: num_nodes must be >= 2, got " +
@@ -117,6 +119,8 @@ Status ValidateRmatOptions(const RmatOptions& options) {
   }
   return Status::OK();
 }
+
+namespace {
 
 /// Draws one accepted (u < v) sample; self-loops are rejected and redrawn.
 Edge DrawEdge(const QuadrantTable& table, const RmatOptions& options,

@@ -43,6 +43,11 @@ struct RmatOptions {
   uint64_t seed = 1;
 };
 
+/// \brief InvalidArgument naming the first malformed field of `options`
+/// (node count, quadrant probabilities, noise, weights, or an edge count
+/// past the simple-graph maximum); OK otherwise.
+[[nodiscard]] Status ValidateRmatOptions(const RmatOptions& options);
+
 /// \brief One deterministic R-MAT edge draw stream.
 ///
 /// Returns exactly `count` accepted samples in draw order, each canonical

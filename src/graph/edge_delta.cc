@@ -12,37 +12,22 @@ double EdgeDelta::ChurnRatio() const {
 
 EdgeDelta DiffSnapshots(const WeightedGraph& before,
                         const WeightedGraph& after) {
-  const std::vector<Edge> old_edges = before.Edges();
-  const std::vector<Edge> new_edges = after.Edges();
+  const SortedEdges old_edges(before);
+  const SortedEdges new_edges(after);
   EdgeDelta delta;
   delta.edges_before = old_edges.size();
   delta.edges_after = new_edges.size();
 
-  // Both lists are sorted by canonical (u, v), so a single merge pass finds
-  // every insertion, deletion, and weight change.
-  size_t i = 0;
-  size_t j = 0;
-  while (i < old_edges.size() || j < new_edges.size()) {
-    if (j == new_edges.size() ||
-        (i < old_edges.size() &&
-         NodePair{old_edges[i].u, old_edges[i].v} <
-             NodePair{new_edges[j].u, new_edges[j].v})) {
-      const Edge& e = old_edges[i++];
-      delta.changes.push_back(ChangedEdge{e.u, e.v, e.weight, 0.0});
-    } else if (i == old_edges.size() ||
-               NodePair{new_edges[j].u, new_edges[j].v} <
-                   NodePair{old_edges[i].u, old_edges[i].v}) {
-      const Edge& e = new_edges[j++];
-      delta.changes.push_back(ChangedEdge{e.u, e.v, 0.0, e.weight});
-    } else {
-      const Edge& old_edge = old_edges[i++];
-      const Edge& new_edge = new_edges[j++];
-      if (old_edge.weight != new_edge.weight) {
-        delta.changes.push_back(ChangedEdge{old_edge.u, old_edge.v,
-                                            old_edge.weight, new_edge.weight});
-      }
-    }
-  }
+  // A missing edge has weight 0, so insertions, deletions and reweights are
+  // all the pairs whose two weights differ.
+  const auto record = [&](const Edge* old_edge, const Edge* new_edge) {
+    const double before_weight = old_edge != nullptr ? old_edge->weight : 0.0;
+    const double after_weight = new_edge != nullptr ? new_edge->weight : 0.0;
+    if (before_weight == after_weight) return;
+    const Edge& e = old_edge != nullptr ? *old_edge : *new_edge;
+    delta.changes.push_back(ChangedEdge{e.u, e.v, before_weight, after_weight});
+  };
+  MergeSortedEdges(old_edges, new_edges, record);
   return delta;
 }
 

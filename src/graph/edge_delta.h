@@ -32,8 +32,8 @@ struct ChangedEdge {
 /// is the input to the incremental maintenance paths (exact Woodbury update
 /// and churn-scoped approximate re-solves; DESIGN.md §12).
 struct EdgeDelta {
-  /// Changed edges in canonical (u, v) order — the same order Edges()
-  /// streams them, which keeps downstream updates deterministic.
+  /// Changed edges in canonical (u, v) order — the order of the sorted
+  /// edge lists, which keeps downstream updates deterministic.
   std::vector<ChangedEdge> changes;
   /// Edge counts of the two snapshots, for churn accounting.
   size_t edges_before = 0;
@@ -51,11 +51,12 @@ struct EdgeDelta {
 /// \brief Diffs two snapshots into the rank-k Laplacian update that maps
 /// `before` to `after`.
 ///
-/// Runs one merge pass over the two canonical edge lists, O(m log m) from
-/// the Edges() sorts. The snapshots may have different node counts (edges
-/// incident to nodes beyond the smaller snapshot simply appear as
-/// insertions/deletions); callers that need matching dimensions — the
-/// Woodbury path does — must check num_nodes themselves.
+/// Runs one merge pass over the two sorted edge lists: O(m) for frozen
+/// snapshots, plus the sorts for graphs still being built. The snapshots
+/// may have different node counts (edges incident to nodes beyond the
+/// smaller snapshot simply appear as insertions/deletions); callers that
+/// need matching dimensions — the Woodbury path does — must check
+/// num_nodes themselves.
 EdgeDelta DiffSnapshots(const WeightedGraph& before,
                         const WeightedGraph& after);
 

@@ -11,6 +11,7 @@ Status TemporalGraphSequence::Append(WeightedGraph snapshot) {
         "snapshot node count " + std::to_string(snapshot.num_nodes()) +
         " does not match sequence node count " + std::to_string(num_nodes_));
   }
+  snapshot.Freeze();
   snapshots_.push_back(std::move(snapshot));
   return Status::OK();
 }
@@ -21,6 +22,7 @@ Status TemporalGraphSequence::AppendGrowing(WeightedGraph snapshot) {
   } else if (snapshot.num_nodes() < num_nodes_) {
     CAD_RETURN_NOT_OK(snapshot.GrowTo(num_nodes_));
   }
+  snapshot.Freeze();
   snapshots_.push_back(std::move(snapshot));
   return Status::OK();
 }
@@ -71,7 +73,7 @@ Status TemporalGraphSequence::CheckConsistent() const {
           std::to_string(g.num_nodes()) + " nodes, sequence has " +
           std::to_string(num_nodes_));
     }
-    for (const Edge& e : g.Edges()) {
+    for (const Edge& e : SortedEdges(g)) {
       if (e.u >= num_nodes_ || e.v >= num_nodes_ || e.u >= e.v) {
         return Status::Internal("snapshot " + std::to_string(t) +
                                 ": edge (" + std::to_string(e.u) + ", " +
@@ -92,16 +94,15 @@ Status TemporalGraphSequence::CheckConsistent() const {
 
 std::vector<NodePair> TemporalGraphSequence::TransitionSupport(size_t t) const {
   CAD_CHECK_LT(t + 1, snapshots_.size());
+  const SortedEdges before(snapshots_[t]);
+  const SortedEdges after(snapshots_[t + 1]);
   std::vector<NodePair> support;
-  support.reserve(snapshots_[t].num_edges() + snapshots_[t + 1].num_edges());
-  for (const Edge& e : snapshots_[t].Edges()) {
+  support.reserve(before.size() + after.size());
+  const auto add = [&](const Edge* old_edge, const Edge* new_edge) {
+    const Edge& e = old_edge != nullptr ? *old_edge : *new_edge;
     support.push_back(NodePair{e.u, e.v});
-  }
-  for (const Edge& e : snapshots_[t + 1].Edges()) {
-    support.push_back(NodePair{e.u, e.v});
-  }
-  std::sort(support.begin(), support.end());
-  support.erase(std::unique(support.begin(), support.end()), support.end());
+  };
+  MergeSortedEdges(before, after, add);
   return support;
 }
 

@@ -1,7 +1,9 @@
 #include "io/event_stream.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <istream>
 
@@ -18,65 +20,162 @@ namespace {
 // length must fail loudly instead of attempting a ~2^64-snapshot allocation.
 constexpr double kMaxDerivedWindows = 1e12;
 
-/// True when `token` parses as a non-negative integer, i.e. a valid dense
-/// node id (used by EventIdMode::kAuto to commit a stream's id mode).
-bool LooksLikeIntegerId(const std::string& token) {
-  Result<int64_t> value = ParseInt64(token);
-  return value.ok() && *value >= 0;
+/// Most fields an event line has: <u> <v> <timestamp> [weight].
+constexpr size_t kMaxEventFields = 4;
+
+/// The whitespace-separated tokens of one line (std::isspace runs, exactly
+/// as SplitTokens splits). Views into the line; `count` counts every token,
+/// even past the kMaxEventFields that are kept.
+struct LineFields {
+  std::string_view field[kMaxEventFields];
+  size_t count = 0;
+};
+
+LineFields TokenizeLine(std::string_view line) {
+  LineFields fields;
+  size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() &&
+           std::isspace(static_cast<unsigned char>(line[i]))) {
+      ++i;
+    }
+    const size_t start = i;
+    while (i < line.size() &&
+           !std::isspace(static_cast<unsigned char>(line[i]))) {
+      ++i;
+    }
+    if (i > start) {
+      if (fields.count < kMaxEventFields) {
+        fields.field[fields.count] = line.substr(start, i - start);
+      }
+      ++fields.count;
+    }
+  }
+  return fields;
 }
 
-/// Parses one non-comment line of the event format. `line` must already be
-/// stripped and non-empty. With a vocabulary, endpoint tokens are interned
-/// as names; interning happens only after every other field validates, so
-/// rejected lines never pollute the vocabulary.
-Result<TimestampedEvent> ParseEventLine(std::string_view line,
+/// Accumulates a run of decimal digits into `*mantissa`; returns how many
+/// digits it read (stops at `max_digits` + 1 so overlong runs are seen).
+size_t ReadDigits(std::string_view token, size_t* pos, size_t max_digits,
+                  uint64_t* mantissa) {
+  size_t digits = 0;
+  while (*pos < token.size() && token[*pos] >= '0' && token[*pos] <= '9' &&
+         digits <= max_digits) {
+    *mantissa = *mantissa * 10 + static_cast<uint64_t>(token[*pos] - '0');
+    ++*pos;
+    ++digits;
+  }
+  return digits;
+}
+
+/// ParseInt64's verdict and value (strtoll rules). Plain [+-]digits tokens
+/// of up to 18 digits cannot overflow and are converted directly; every
+/// other token goes through ParseInt64 itself.
+bool TokenToInt64(std::string_view token, int64_t* value) {
+  size_t pos = 0;
+  const bool negative = !token.empty() && token[0] == '-';
+  if (!token.empty() && (token[0] == '-' || token[0] == '+')) ++pos;
+  uint64_t mantissa = 0;
+  const size_t digits = ReadDigits(token, &pos, 18, &mantissa);
+  if (digits >= 1 && digits <= 18 && pos == token.size()) {
+    const auto magnitude = static_cast<int64_t>(mantissa);
+    *value = negative ? -magnitude : magnitude;
+    return true;
+  }
+  Result<int64_t> parsed = ParseInt64(token);
+  if (!parsed.ok()) return false;
+  *value = *parsed;
+  return true;
+}
+
+/// ParseDouble's verdict and value (strtod rules). Plain decimals
+/// -?digits[.digits] with at most 15 digits in all are converted directly:
+/// the digits form an integer below 2^53 and 10^fraction_digits is exact,
+/// so one IEEE division rounds the decimal value correctly — the same bits
+/// strtod returns. Every other token goes through ParseDouble itself.
+bool TokenToDouble(std::string_view token, double* value) {
+  static constexpr double kPow10[] = {1e0, 1e1, 1e2,  1e3,  1e4,  1e5,
+                                      1e6, 1e7, 1e8,  1e9,  1e10, 1e11,
+                                      1e12, 1e13, 1e14, 1e15};
+  size_t pos = 0;
+  const bool negative = !token.empty() && token[0] == '-';
+  if (negative) ++pos;
+  uint64_t mantissa = 0;
+  const size_t int_digits = ReadDigits(token, &pos, 15, &mantissa);
+  size_t frac_digits = 0;
+  if (int_digits >= 1 && pos < token.size() && token[pos] == '.') {
+    ++pos;
+    frac_digits = ReadDigits(token, &pos, 15 - std::min<size_t>(int_digits, 15),
+                             &mantissa);
+  }
+  if (int_digits >= 1 && int_digits + frac_digits <= 15 &&
+      pos == token.size()) {
+    const double magnitude =
+        static_cast<double>(mantissa) / kPow10[frac_digits];
+    *value = negative ? -magnitude : magnitude;
+    return true;
+  }
+  Result<double> parsed = ParseDouble(token);
+  if (!parsed.ok()) return false;
+  *value = *parsed;
+  return true;
+}
+
+/// True when `token` parses as a non-negative integer, i.e. a valid dense
+/// node id (used by EventIdMode::kAuto to commit a stream's id mode).
+bool LooksLikeIntegerId(std::string_view token) {
+  int64_t value = 0;
+  return TokenToInt64(token, &value) && value >= 0;
+}
+
+/// Parses the fields of one non-comment line of the event format. With a
+/// vocabulary, endpoint tokens are interned as names; interning happens only
+/// after every other field validates, so rejected lines never pollute the
+/// vocabulary.
+Result<TimestampedEvent> ParseEventLine(const LineFields& fields,
                                         size_t line_number,
                                         NodeVocabulary* vocabulary) {
   const auto error_at = [line_number](const std::string& message) {
     return Status::InvalidArgument("line " + std::to_string(line_number) +
                                    ": " + message);
   };
-  const std::vector<std::string> fields = SplitTokens(line);
-  if (fields.size() != 3 && fields.size() != 4) {
+  if (fields.count != 3 && fields.count != 4) {
     return error_at("expected '<u> <v> <timestamp> [weight]'");
   }
-  Result<double> timestamp = ParseDouble(fields[2]);
-  if (!timestamp.ok()) {
+  TimestampedEvent event;
+  if (!TokenToDouble(fields.field[2], &event.timestamp)) {
     return error_at("malformed event");
   }
-  if (!std::isfinite(*timestamp)) {
+  if (!std::isfinite(event.timestamp)) {
     return error_at("non-finite timestamp");
   }
-  TimestampedEvent event;
-  event.timestamp = *timestamp;
-  if (fields.size() == 4) {
-    Result<double> weight = ParseDouble(fields[3]);
-    if (!weight.ok()) {
+  if (fields.count == 4) {
+    if (!TokenToDouble(fields.field[3], &event.weight)) {
       return error_at("malformed weight");
     }
-    if (!std::isfinite(*weight) || *weight < 0.0) {
+    if (!std::isfinite(event.weight) || event.weight < 0.0) {
       return error_at("weight must be finite and >= 0");
     }
-    event.weight = *weight;
   }
   if (vocabulary == nullptr) {
-    Result<int64_t> u = ParseInt64(fields[0]);
-    Result<int64_t> v = ParseInt64(fields[1]);
-    if (!u.ok() || !v.ok() || *u < 0 || *v < 0) {
+    int64_t u = 0;
+    int64_t v = 0;
+    if (!TokenToInt64(fields.field[0], &u) ||
+        !TokenToInt64(fields.field[1], &v) || u < 0 || v < 0) {
       return error_at("malformed event");
     }
-    event.u = static_cast<NodeId>(*u);
-    event.v = static_cast<NodeId>(*v);
+    event.u = static_cast<NodeId>(u);
+    event.v = static_cast<NodeId>(v);
   } else {
     // Validate both names before interning either, so a line rejected on
     // its second endpoint leaves the vocabulary untouched.
-    const Status valid_u = NodeVocabulary::ValidateNodeName(fields[0]);
+    const Status valid_u = NodeVocabulary::ValidateNodeName(fields.field[0]);
     if (!valid_u.ok()) return error_at(valid_u.message());
-    const Status valid_v = NodeVocabulary::ValidateNodeName(fields[1]);
+    const Status valid_v = NodeVocabulary::ValidateNodeName(fields.field[1]);
     if (!valid_v.ok()) return error_at(valid_v.message());
-    Result<NodeId> u = vocabulary->Intern(fields[0]);
+    Result<NodeId> u = vocabulary->Intern(fields.field[0]);
     if (!u.ok()) return error_at(u.status().message());
-    Result<NodeId> v = vocabulary->Intern(fields[1]);
+    Result<NodeId> v = vocabulary->Intern(fields.field[1]);
     if (!v.ok()) return error_at(v.status().message());
     event.u = *u;
     event.v = *v;
@@ -174,25 +273,24 @@ EventStreamReader::EventStreamReader(std::istream* in,
 }
 
 Result<std::optional<TimestampedEvent>> EventStreamReader::Next() {
-  std::string line;
-  while (std::getline(*in_, line)) {
+  while (std::getline(*in_, line_)) {
     ++line_number_;
-    const std::string_view stripped = StripWhitespace(line);
+    const std::string_view stripped = StripWhitespace(line_);
     if (stripped.empty() || stripped[0] == '#') continue;
+    const LineFields fields = TokenizeLine(stripped);
     bool committed_this_line = false;
     if (id_mode_ == EventIdMode::kAuto) {
       // Commit the stream's id mode on its first data line so every later
       // line is interpreted consistently (a numeric token in a named stream
       // is a name; an alphabetic token in an integer stream is malformed).
-      const std::vector<std::string> fields = SplitTokens(stripped);
-      id_mode_ = (fields.size() >= 2 && LooksLikeIntegerId(fields[0]) &&
-                  LooksLikeIntegerId(fields[1]))
+      id_mode_ = (fields.count >= 2 && LooksLikeIntegerId(fields.field[0]) &&
+                  LooksLikeIntegerId(fields.field[1]))
                      ? EventIdMode::kInteger
                      : EventIdMode::kNamed;
       committed_this_line = true;
     }
     Result<TimestampedEvent> event = ParseEventLine(
-        stripped, line_number_,
+        fields, line_number_,
         id_mode_ == EventIdMode::kNamed ? vocabulary_ : nullptr);
     if (event.ok()) {
       return std::optional<TimestampedEvent>(*event);
@@ -318,6 +416,7 @@ Status EventWindowAggregator::Add(const TimestampedEvent& event,
     // shrinks, so later windows (and monitors growing their previous
     // snapshot) see non-decreasing sizes.
     const size_t nodes_at_close = current_.num_nodes();
+    current_.Freeze();
     completed->push_back(std::move(current_));
     current_ = WeightedGraph(nodes_at_close);
     ++current_window_;
@@ -334,6 +433,7 @@ Status EventWindowAggregator::Add(const TimestampedEvent& event,
 
 WeightedGraph EventWindowAggregator::Flush() {
   const size_t nodes_at_close = current_.num_nodes();
+  current_.Freeze();
   WeightedGraph closed = std::move(current_);
   current_ = WeightedGraph(nodes_at_close);
   ++current_window_;

@@ -124,6 +124,8 @@ class EventStreamReader {
   EventIdMode id_mode_;
   size_t line_number_ = 0;
   size_t events_rejected_parse_ = 0;
+  // One line buffer for the whole stream; parsed fields are views into it.
+  std::string line_;
 };
 
 /// Text format, one event per line; see EventStreamReader. Strict policy:
@@ -197,18 +199,19 @@ class EventWindowAggregator {
 
   /// Feeds one event. Windows that closed strictly before the event's
   /// window are appended to `*completed` in order (possibly none, possibly
-  /// several empty ones for quiet periods). Malformed events (self-loop,
-  /// endpoint >= num_nodes, non-finite fields, negative weight) and events
-  /// before the current open window (out of order, or before first_window)
-  /// return InvalidArgument without consuming the event — the caller's
+  /// several empty ones for quiet periods), each frozen
+  /// (WeightedGraph::Freeze). Malformed events (self-loop, endpoint >=
+  /// num_nodes, non-finite fields, negative weight) and events before the
+  /// current open window (out of order, or before first_window) return
+  /// InvalidArgument without consuming the event — the caller's
   /// error policy decides whether that is fatal.
   [[nodiscard]] Status Add(const TimestampedEvent& event,
                            std::vector<WeightedGraph>* completed);
 
   /// Closes and returns the in-progress window (the final, possibly
-  /// partial, snapshot). The aggregator then continues with the next
-  /// window index, so Flush at end-of-stream matches AggregateEventStream's
-  /// last window.
+  /// partial, snapshot), frozen. The aggregator then continues with the
+  /// next window index, so Flush at end-of-stream matches
+  /// AggregateEventStream's last window.
   WeightedGraph Flush();
 
   /// Index of the currently open window.

@@ -342,7 +342,8 @@ Status Tenant::ApplyEvent(const WireEvent& event) {
 
 Status Tenant::ObserveWindow(WeightedGraph snapshot) {
   const uint64_t start_ns = Timer::NowNanos();
-  Result<std::optional<AnomalyReport>> report = monitor_.Observe(snapshot);
+  Result<std::optional<AnomalyReport>> report =
+      monitor_.Observe(std::move(snapshot));
   if (!report.ok()) return report.status();
   const uint64_t elapsed_ns = Timer::NowNanos() - start_ns;
   if (obs::MetricsEnabled()) {

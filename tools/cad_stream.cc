@@ -359,7 +359,7 @@ int Run(int argc, char** argv) {
 
   const auto observe = [&](WeightedGraph snapshot) -> Result<bool> {
     Result<std::optional<AnomalyReport>> report =
-        monitor.Observe(snapshot);
+        monitor.Observe(std::move(snapshot));
     if (!report.ok()) return report.status();
     if (report->has_value()) {
       WriteReportRows(**report, vocab.empty() ? nullptr : &vocab, out);

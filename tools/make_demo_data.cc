@@ -82,8 +82,7 @@ Status WriteRmatEventFile(const RmatOptions& options, size_t samples,
   return out.good() ? Status::OK() : Status::IoError("write failed: " + path);
 }
 
-int Run(int argc, char** argv) {
-  FlagParser flags;
+struct DemoConfig {
   std::string output_dir = "data";
   int64_t employees = 151;
   int64_t months = 48;
@@ -91,37 +90,46 @@ int Run(int argc, char** argv) {
   int64_t rmat_nodes = 200;
   int64_t rmat_samples = 4000;
   int64_t rmat_snapshots = 6;
-  flags.AddString("output_dir", &output_dir, "directory to write into");
-  flags.AddInt64("employees", &employees, "organization size for org.tel");
-  flags.AddInt64("months", &months, "months for org.tel");
-  flags.AddInt64("seed", &seed, "simulator seed");
-  flags.AddInt64("rmat_nodes", &rmat_nodes, "node count for rmat_events.txt");
-  flags.AddInt64("rmat_samples", &rmat_samples,
-                 "raw R-MAT draws in rmat_events.txt (duplicates kept)");
-  flags.AddInt64("rmat_snapshots", &rmat_snapshots,
-                 "windows the R-MAT draws are spread over");
-  CAD_CHECK_OK(flags.Parse(argc, argv));
-  if (flags.help_requested()) return 0;
+};
 
+// Rejects flag values the generators would otherwise CHECK-abort on.
+Status ValidateConfig(const DemoConfig& config, RmatOptions* rmat) {
+  if (config.employees < 60 || config.months < 42) {
+    return Status::InvalidArgument(
+        "--employees must be >= 60 and --months >= 42 (the organization "
+        "simulator's minimums)");
+  }
+  if (config.rmat_nodes < 0 || config.rmat_samples < 1 ||
+      config.rmat_snapshots < 1) {
+    return Status::InvalidArgument(
+        "--rmat_nodes must be >= 0, --rmat_samples and --rmat_snapshots "
+        ">= 1");
+  }
+  rmat->num_nodes = static_cast<size_t>(config.rmat_nodes);
+  rmat->num_edges = static_cast<size_t>(config.rmat_samples);  // bound only
+  rmat->seed = static_cast<uint64_t>(config.seed);
+  return ValidateRmatOptions(*rmat);
+}
+
+Status WriteDemoData(const DemoConfig& config, const RmatOptions& rmat) {
+  const std::string& dir = config.output_dir;
   const ToyExample toy = MakeToyExample();
-  CAD_CHECK_OK(
-      WriteTemporalEdgeListFile(toy.sequence, output_dir + "/toy.tel"));
-  CAD_CHECK_OK(WriteNames(toy.node_names, output_dir + "/toy_names.txt"));
-  std::cout << "wrote " << output_dir << "/toy.tel (17 nodes, 2 snapshots)\n";
+  CAD_RETURN_NOT_OK(WriteTemporalEdgeListFile(toy.sequence, dir + "/toy.tel"));
+  CAD_RETURN_NOT_OK(WriteNames(toy.node_names, dir + "/toy_names.txt"));
+  std::cout << "wrote " << dir << "/toy.tel (17 nodes, 2 snapshots)\n";
 
   EnronSimOptions sim;
-  sim.num_employees = static_cast<size_t>(employees);
-  sim.num_months = static_cast<size_t>(months);
-  sim.seed = static_cast<uint64_t>(seed);
+  sim.num_employees = static_cast<size_t>(config.employees);
+  sim.num_months = static_cast<size_t>(config.months);
+  sim.seed = static_cast<uint64_t>(config.seed);
   const EnronSimData org = MakeEnronStyleData(sim);
-  CAD_CHECK_OK(
-      WriteTemporalEdgeListFile(org.sequence, output_dir + "/org.tel"));
-  CAD_CHECK_OK(WriteNames(org.node_names, output_dir + "/org_names.txt"));
-  CAD_CHECK_OK(WriteEventFile(org.sequence, {}, output_dir + "/events.txt"));
-  CAD_CHECK_OK(WriteEventFile(org.sequence, org.node_names,
-                              output_dir + "/events_named.txt"));
-  std::cout << "wrote " << output_dir << "/org.tel (" << employees
-            << " nodes, " << months << " snapshots), events.txt, and "
+  CAD_RETURN_NOT_OK(WriteTemporalEdgeListFile(org.sequence, dir + "/org.tel"));
+  CAD_RETURN_NOT_OK(WriteNames(org.node_names, dir + "/org_names.txt"));
+  CAD_RETURN_NOT_OK(WriteEventFile(org.sequence, {}, dir + "/events.txt"));
+  CAD_RETURN_NOT_OK(WriteEventFile(org.sequence, org.node_names,
+                                   dir + "/events_named.txt"));
+  std::cout << "wrote " << dir << "/org.tel (" << config.employees
+            << " nodes, " << config.months << " snapshots), events.txt, and "
             << "events_named.txt\n";
   std::cout << "ground-truth events in org.tel:\n";
   for (const OrgEvent& event : org.events) {
@@ -129,16 +137,46 @@ int Run(int argc, char** argv) {
               << event.description << "\n";
   }
 
+  CAD_RETURN_NOT_OK(WriteRmatEventFile(
+      rmat, static_cast<size_t>(config.rmat_samples),
+      static_cast<size_t>(config.rmat_snapshots), dir + "/rmat_events.txt"));
+  std::cout << "wrote " << dir << "/rmat_events.txt (" << config.rmat_nodes
+            << " nodes, " << config.rmat_samples << " draws, "
+            << config.rmat_snapshots << " windows)\n";
+  return Status::OK();
+}
+
+// Every failure — a bad flag, an out-of-range value, an unwritable
+// --output_dir — prints the error and exits 1; none reaches an abort.
+int Run(int argc, char** argv) {
+  FlagParser flags;
+  DemoConfig config;
+  flags.AddString("output_dir", &config.output_dir,
+                  "directory to write into (must exist)");
+  flags.AddInt64("employees", &config.employees,
+                 "organization size for org.tel (>= 60)");
+  flags.AddInt64("months", &config.months, "months for org.tel (>= 42)");
+  flags.AddInt64("seed", &config.seed, "simulator seed");
+  flags.AddInt64("rmat_nodes", &config.rmat_nodes,
+                 "node count for rmat_events.txt");
+  flags.AddInt64("rmat_samples", &config.rmat_samples,
+                 "raw R-MAT draws in rmat_events.txt (duplicates kept)");
+  flags.AddInt64("rmat_snapshots", &config.rmat_snapshots,
+                 "windows the R-MAT draws are spread over");
+  const Status parsed = flags.Parse(argc, argv);
+  if (!parsed.ok()) {
+    std::cerr << "make_demo_data: " << parsed.ToString() << "\n"
+              << flags.Usage();
+    return 1;
+  }
+  if (flags.help_requested()) return 0;
   RmatOptions rmat;
-  rmat.num_nodes = static_cast<size_t>(rmat_nodes);
-  rmat.num_edges = static_cast<size_t>(rmat_samples);  // validation bound only
-  rmat.seed = static_cast<uint64_t>(seed);
-  CAD_CHECK_OK(WriteRmatEventFile(rmat, static_cast<size_t>(rmat_samples),
-                                  static_cast<size_t>(rmat_snapshots),
-                                  output_dir + "/rmat_events.txt"));
-  std::cout << "wrote " << output_dir << "/rmat_events.txt (" << rmat_nodes
-            << " nodes, " << rmat_samples << " draws, " << rmat_snapshots
-            << " windows)\n";
+  Status status = ValidateConfig(config, &rmat);
+  if (status.ok()) status = WriteDemoData(config, rmat);
+  if (!status.ok()) {
+    std::cerr << "make_demo_data: " << status.ToString() << "\n";
+    return 1;
+  }
   return 0;
 }
 
