@@ -13,6 +13,12 @@
 // an optimization that changes that order changes these digests even where
 // integer-weight streams would not notice. The digests are the same at one
 // and two threads.
+//
+// The approximate modes span the solver's configuration axes: embedding
+// dimension (k = 16, 25 and 50, so the lockstep solver runs one, two and
+// four column chunks), preconditioner (Jacobi, IC(0) through the cached
+// factor, none) and the monitor's cache modes (stateless rebuild, warm start,
+// incremental). Each digest also pins the run's total PCG iteration count.
 
 #include <gtest/gtest.h>
 
@@ -64,6 +70,9 @@ struct Digests {
   uint64_t oracles = 0;
   uint64_t laplacians = 0;
   uint64_t checkpoints = 0;
+  /// The run's pcg.iterations counter (not hashed, so a mismatch prints the
+  /// two counts).
+  uint64_t pcg_iterations = 0;
 };
 
 enum class Mode {
@@ -71,6 +80,14 @@ enum class Mode {
   kApproxRebuild,
   kExact,
   kExactIncremental,
+  /// Stateless rebuild at k = 50: several column chunks of uneven width.
+  kApproxRebuildK50,
+  /// Warm start with IC(0): the cached-factor path.
+  kApproxIc0WarmStart,
+  /// Unpreconditioned CG.
+  kApproxNoPreconditioner,
+  /// Warm start without incremental at k = 25 (the server_fleet monitor).
+  kApproxWarmStartK25,
 };
 
 const char* ModeName(Mode mode) {
@@ -83,6 +100,14 @@ const char* ModeName(Mode mode) {
       return "exact";
     case Mode::kExactIncremental:
       return "exact_incremental";
+    case Mode::kApproxRebuildK50:
+      return "approx_rebuild_k50";
+    case Mode::kApproxIc0WarmStart:
+      return "approx_ic0_warm_start";
+    case Mode::kApproxNoPreconditioner:
+      return "approx_no_preconditioner";
+    case Mode::kApproxWarmStartK25:
+      return "approx_warm_start_k25";
   }
   return "unknown";
 }
@@ -137,6 +162,25 @@ OnlineMonitorOptions MonitorOptions(Mode mode, size_t threads) {
   options.incremental =
       mode == Mode::kApproxIncremental || mode == Mode::kExactIncremental;
   options.warmup_transitions = 1;
+  ApproxCommuteOptions& approx = options.detector.approx;
+  switch (mode) {
+    case Mode::kApproxRebuildK50:
+      approx.embedding_dim = 50;
+      break;
+    case Mode::kApproxIc0WarmStart:
+      approx.cg.preconditioner = CgPreconditioner::kIncompleteCholesky;
+      approx.warm_start = true;
+      break;
+    case Mode::kApproxNoPreconditioner:
+      approx.cg.preconditioner = CgPreconditioner::kNone;
+      break;
+    case Mode::kApproxWarmStartK25:
+      approx.embedding_dim = 25;
+      approx.warm_start = true;
+      break;
+    default:
+      break;
+  }
   return options;
 }
 
@@ -211,14 +255,16 @@ Digests RunDigests(Mode mode, size_t threads) {
   observe(aggregator->Flush());
   EXPECT_EQ(monitor.num_snapshots(), kWindows);
   EXPECT_GT(report.size(), 100u) << "no window reported an anomaly";
+  uint64_t pcg_iterations = 0;
 #ifndef CAD_OBS_DISABLED
+  uint64_t incremental = 0;
+  for (const auto& [name, value] : obs::SnapshotMetrics().counters) {
+    if (name == "commute.incremental_builds") incremental = value;
+    if (name == "pcg.iterations") pcg_iterations = value;
+  }
   if (options.incremental) {
     // Calm windows must take the incremental path, or the digests would not
     // cover it.
-    uint64_t incremental = 0;
-    for (const auto& [name, value] : obs::SnapshotMetrics().counters) {
-      if (name == "commute.incremental_builds") incremental = value;
-    }
     EXPECT_GE(incremental, 2u);
   }
 #endif
@@ -227,7 +273,7 @@ Digests RunDigests(Mode mode, size_t threads) {
   Fnv1a report_hash;
   report_hash.Add(report.data(), report.size());
   return Digests{report_hash.value(), oracles.value(), laplacians.value(),
-                 checkpoints.value()};
+                 checkpoints.value(), pcg_iterations};
 }
 
 /// Committed digests. A change to any of these is a change of output bytes:
@@ -238,22 +284,50 @@ Digests Expected(Mode mode) {
       return Digests{0xf83f858eb0992515ULL,
                      0x424c9829cfb577e3ULL,
                      0xa1bc64db28669bd1ULL,
-                     0x40c27e273ab06cd7ULL};
+                     0x40c27e273ab06cd7ULL,
+                     696};
     case Mode::kApproxRebuild:
       return Digests{0x4393d326cba6333bULL,
                      0x972cbb64e847c690ULL,
                      0xa1bc64db28669bd1ULL,
-                     0xd26bc74ea97bae3bULL};
+                     0xd26bc74ea97bae3bULL,
+                     2180};
     case Mode::kExact:
       return Digests{0x8fd4a3f66760f593ULL,
                      0x0b7222f5fd435663ULL,
                      0xa1bc64db28669bd1ULL,
-                     0x7186faf27a242c5bULL};
+                     0x7186faf27a242c5bULL,
+                     0};
     case Mode::kExactIncremental:
       return Digests{0x8fd4a3f66760f593ULL,
                      0x52d6cf6a2d4bd31fULL,
                      0xa1bc64db28669bd1ULL,
-                     0x1f0a20c1c8565562ULL};
+                     0x1f0a20c1c8565562ULL,
+                     0};
+    case Mode::kApproxRebuildK50:
+      return Digests{0x07784b2d4de852ffULL,
+                     0xa3c95ae0461538e6ULL,
+                     0xa1bc64db28669bd1ULL,
+                     0x9ab6dc6bac397d26ULL,
+                     6838};
+    case Mode::kApproxIc0WarmStart:
+      return Digests{0x9d570d626e859008ULL,
+                     0xa608c66b91751afeULL,
+                     0xa1bc64db28669bd1ULL,
+                     0x9c0f416786b48bacULL,
+                     3830};
+    case Mode::kApproxNoPreconditioner:
+      return Digests{0xaa7ad7c514573c31ULL,
+                     0x36824506de90eb14ULL,
+                     0xa1bc64db28669bd1ULL,
+                     0xc9f19394823e5c29ULL,
+                     21003};
+    case Mode::kApproxWarmStartK25:
+      return Digests{0xbf4ec5b87a182637ULL,
+                     0x26866fcf5ff00a1bULL,
+                     0xa1bc64db28669bd1ULL,
+                     0xa5611bde1e87cbd2ULL,
+                     3225};
   }
   return Digests{};
 }
@@ -280,13 +354,21 @@ TEST_P(GoldenDigestTest, StreamOutputsMatchCommittedDigests) {
       << "Laplacian CSR arrays, volume or weighted degrees changed";
   EXPECT_EQ(Hex(actual.checkpoints), Hex(expected.checkpoints))
       << "checkpoint file bytes changed";
+#ifndef CAD_OBS_DISABLED
+  EXPECT_EQ(actual.pcg_iterations, expected.pcg_iterations)
+      << "PCG iteration count changed";
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Modes, GoldenDigestTest,
     ::testing::Combine(::testing::Values(Mode::kApproxIncremental,
                                          Mode::kApproxRebuild, Mode::kExact,
-                                         Mode::kExactIncremental),
+                                         Mode::kExactIncremental,
+                                         Mode::kApproxRebuildK50,
+                                         Mode::kApproxIc0WarmStart,
+                                         Mode::kApproxNoPreconditioner,
+                                         Mode::kApproxWarmStartK25),
                        ::testing::Values(size_t{1}, size_t{2})),
     [](const ::testing::TestParamInfo<std::tuple<Mode, size_t>>& info) {
       return std::string(ModeName(std::get<0>(info.param))) + "_threads" +
