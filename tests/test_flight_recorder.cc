@@ -25,6 +25,28 @@ TEST(FlightRecorderTest, DisabledByDefaultAndNotesAreNoOps) {
   EXPECT_EQ(GlobalFlightRecorder().total_recorded(), 0u);
 }
 
+TEST(FlightRecorderTest, RingOverwritesOldestAndReportsDropped) {
+  const ScopedFlightRecorderEnable enable;
+  const size_t total = FlightRecorder::kCapacity + 10;
+  for (size_t i = 0; i < total; ++i) {
+    GlobalFlightRecorder().Record("test.flight.wrap", i, i + 1,
+                                  static_cast<double>(i));
+  }
+  EXPECT_EQ(GlobalFlightRecorder().total_recorded(), total);
+  const std::vector<FlightEvent> events = CollectFlightRecorder();
+  ASSERT_EQ(events.size(), FlightRecorder::kCapacity);
+  // The ten oldest tickets were overwritten; the survivors are contiguous.
+  EXPECT_EQ(events.front().ticket, 10u);
+  EXPECT_EQ(events.back().ticket, total - 1);
+  for (size_t i = 1; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].ticket, events[i - 1].ticket + 1);
+  }
+}
+
+// CAD_FLIGHT_NOTE and CAD_TRACE_SPAN compile away under CAD_OBS_DISABLED,
+// so the tests that record through them exist only in instrumented builds.
+#ifndef CAD_OBS_DISABLED
+
 TEST(FlightRecorderTest, RecordedEventsRoundTripInTicketOrder) {
   const ScopedFlightRecorderEnable enable;
   CAD_FLIGHT_NOTE("test.flight.first", 1);
@@ -44,24 +66,6 @@ TEST(FlightRecorderTest, RecordedEventsRoundTripInTicketOrder) {
   EXPECT_EQ(events[2].start_ns, 100u);
   EXPECT_EQ(events[2].end_ns, 250u);
   EXPECT_EQ(events[2].ticket, 2u);
-}
-
-TEST(FlightRecorderTest, RingOverwritesOldestAndReportsDropped) {
-  const ScopedFlightRecorderEnable enable;
-  const size_t total = FlightRecorder::kCapacity + 10;
-  for (size_t i = 0; i < total; ++i) {
-    GlobalFlightRecorder().Record("test.flight.wrap", i, i + 1,
-                                  static_cast<double>(i));
-  }
-  EXPECT_EQ(GlobalFlightRecorder().total_recorded(), total);
-  const std::vector<FlightEvent> events = CollectFlightRecorder();
-  ASSERT_EQ(events.size(), FlightRecorder::kCapacity);
-  // The ten oldest tickets were overwritten; the survivors are contiguous.
-  EXPECT_EQ(events.front().ticket, 10u);
-  EXPECT_EQ(events.back().ticket, total - 1);
-  for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].ticket, events[i - 1].ticket + 1);
-  }
 }
 
 TEST(FlightRecorderTest, ResetDropsHistoryAndRestartsTickets) {
@@ -105,6 +109,8 @@ TEST(FlightRecorderTest, JsonDumpCarriesTotalsDroppedAndEventFields) {
             std::string::npos);
   EXPECT_NE(dump.find("\"duration_ns\":25"), std::string::npos);
 }
+
+#endif  // CAD_OBS_DISABLED
 
 TEST(FlightRecorderTest, JsonDumpFailsCleanlyOnBadSink) {
   const ScopedFlightRecorderEnable enable;

@@ -122,14 +122,6 @@ int64_t JsonInt(const std::string& json, const std::string& key) {
   return std::atoll(json.c_str() + pos + needle.size());
 }
 
-uint64_t CounterValue(const obs::MetricsSnapshot& snapshot,
-                      const std::string& name) {
-  for (const auto& [counter_name, value] : snapshot.counters) {
-    if (counter_name == name) return value;
-  }
-  return 0;
-}
-
 // --- kill/resume byte-identity ---------------------------------------------
 
 constexpr size_t kTenants = 8;
@@ -283,8 +275,6 @@ TEST(BoundedBatchQueueTest, PopsInFifoOrder) {
 }
 
 TEST(FleetBackpressureTest, EveryRejectionIsCountedAndNothingIsDropped) {
-  obs::SetMetricsEnabled(true);
-  obs::ResetMetrics();
   ScopedTempDir dir;
   FleetOptions options = FleetFor(dir.path(), ExactMonitor());
   options.num_workers = 1;
@@ -309,21 +299,18 @@ TEST(FleetBackpressureTest, EveryRejectionIsCountedAndNothingIsDropped) {
 
   const Result<std::string> stats = (*fleet)->StatsJson("bp");
   ASSERT_TRUE(stats.ok());
-  // Reject-with-status means the retried events all arrived exactly once.
+  // Reject-with-status means the retried events all arrived exactly once,
+  // and the tenant's stats reply counts every rejection its caller saw.
+  EXPECT_GT(rejections_seen, 0u) << "the tiny queue never pushed back";
   EXPECT_EQ(JsonInt(*stats, "received"),
             static_cast<int64_t>(events.size()));
   EXPECT_EQ(JsonInt(*stats, "rejections"),
             static_cast<int64_t>(rejections_seen));
-  EXPECT_EQ(CounterValue(obs::SnapshotMetrics(), "server.queue_rejections"),
-            rejections_seen);
-  obs::SetMetricsEnabled(false);
 }
 
 // --- shared cache budget ----------------------------------------------------
 
 TEST(FleetCacheBudgetTest, EvictsIdleTenantsDownToTheBudget) {
-  obs::SetMetricsEnabled(true);
-  obs::ResetMetrics();
   const std::vector<WireEvent> events =
       MakeEvents(1, /*windows=*/6, kPerWindow, kNodes);
 
@@ -358,10 +345,14 @@ TEST(FleetCacheBudgetTest, EvictsIdleTenantsDownToTheBudget) {
     const Result<std::string> summary = (*fleet)->StatsJson("");
     ASSERT_TRUE(summary.ok());
     EXPECT_LE(JsonInt(*summary, "cache_bytes"), 1);
-    EXPECT_GE(CounterValue(obs::SnapshotMetrics(), "server.cache_evictions"),
-              1u);
+    // Each tenant's own stats reply shows its warm cache (nonzero in the
+    // control run above) was given back.
+    for (const char* name : {"a", "b"}) {
+      const Result<std::string> stats = (*fleet)->StatsJson(name);
+      ASSERT_TRUE(stats.ok());
+      EXPECT_EQ(JsonInt(*stats, "cache_bytes"), 0) << name;
+    }
   }
-  obs::SetMetricsEnabled(false);
 }
 
 // --- stale checkpoint -------------------------------------------------------

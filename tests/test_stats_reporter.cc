@@ -47,6 +47,10 @@ TEST(StatsReporterTest, EmitsEveryNthTickAndCountsRecords) {
   EXPECT_EQ(Lines(out.str()).size(), 3u);
 }
 
+// These read counters recorded through the CAD_METRIC_* macros, which
+// compile away under CAD_OBS_DISABLED.
+#ifndef CAD_OBS_DISABLED
+
 TEST(StatsReporterTest, RecordCarriesSchemaFieldsWithTimerLast) {
   const ScopedMetricsEnable enable;
   std::ostringstream out;
@@ -89,6 +93,8 @@ TEST(StatsReporterTest, CountersAreDeltasAndZeroDeltasAreOmitted) {
   // The idle heartbeat omits the unchanged counter entirely.
   EXPECT_EQ(lines[2].find("test.stats.delta_counter"), std::string::npos);
 }
+
+#endif  // CAD_OBS_DISABLED
 
 TEST(StatsReporterTest, WindowLatencyQuantilesAppearInTheTimerObject) {
   const ScopedMetricsEnable enable;
