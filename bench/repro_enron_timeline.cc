@@ -36,7 +36,6 @@ int Run(int argc, char** argv) {
   std::string engine = "exact";
   int64_t k = 50;
   bool warm_start = false;
-  bool block_solver = false;
   double refactor_threshold = 0.1;
   std::string preconditioner = "auto";
   flags.AddInt64("employees", &num_employees, "organization size (paper: 151)");
@@ -51,8 +50,6 @@ int Run(int argc, char** argv) {
   flags.AddBool("warm_start", &warm_start,
                 "approx engine: seed each snapshot's solves with the "
                 "previous embedding and reuse the IC(0) factor");
-  flags.AddBool("block_solver", &block_solver,
-                "approx engine: lockstep block-PCG over the k systems");
   flags.AddDouble("refactor_threshold", &refactor_threshold,
                   "IC(0) staleness trigger under --warm_start");
   flags.AddString("preconditioner", &preconditioner,
@@ -82,7 +79,6 @@ int Run(int argc, char** argv) {
   cad_options.approx.embedding_dim = static_cast<size_t>(k);
   cad_options.approx.warm_start = warm_start;
   cad_options.approx.refactor_threshold = refactor_threshold;
-  cad_options.approx.cg.use_block_solver = block_solver;
   if (preconditioner == "auto") {
     cad_options.approx.cg.preconditioner =
         warm_start ? CgPreconditioner::kIncompleteCholesky
@@ -111,8 +107,7 @@ int Run(int argc, char** argv) {
     std::cout << "  approx engine: k = " << k << ", preconditioner = "
               << CgPreconditionerToString(
                      cad_options.approx.cg.preconditioner)
-              << ", warm start = " << (warm_start ? "on" : "off")
-              << ", block solver = " << (block_solver ? "on" : "off") << "\n"
+              << ", warm start = " << (warm_start ? "on" : "off") << "\n"
               << "  CAD analyze: " << bench::Fixed(analyze_seconds, 3)
               << " s, total pcg.iterations = " << pcg_iterations << "\n";
   }

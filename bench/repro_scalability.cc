@@ -2,9 +2,8 @@
 // time of CAD, COM, ADJ, ACT and CLC on graphs of increasing size — and
 // doubles as the million-node scale harness: `--generator rmat` drives the
 // sweep with power-law R-MAT graphs (the regime where the approximate
-// engine is the only tractable one), and the optimization flags
-// (--relabel/--tiled_spmm/--arena/--block_solver) exercise the solver
-// hot-path attacks against the default path.
+// engine is the only tractable one), and --relabel exercises degree-ordered
+// solver relabeling against the default path.
 //
 // Expected shape (paper, on 1e7 nodes): ADJ fastest, then ACT, then CLC
 // (~1/3 of CAD; degrades with density), with CAD ~ COM the slowest but still
@@ -15,7 +14,7 @@
 // one row per (size, thread-count) pair with wall times, CG iteration
 // counts, and — under --compare_baseline — the solve-stage speedup of the
 // optimized configuration over the default path, plus a bitwise-equality
-// verdict for the two embeddings (the optimizations are contractually
+// verdict for the two embeddings (relabeling is contractually
 // bit-identical, so anything but `true` is a bug). CI's perf-smoke job
 // parses this file on every run.
 //
@@ -78,8 +77,8 @@ struct RunResult {
   uint64_t cad_pcg_iterations = 0;
   // Solve stage: the k-system Laplacian solves behind one embedding build
   // per snapshot, timed with the optimization flags on and (optionally)
-  // off. This isolates what relabel/tiling/arena actually touch from the
-  // scoring and generation around it.
+  // off. This isolates what relabeling actually touches from the scoring
+  // and generation around it.
   double solve_seconds = 0.0;
   double solve_baseline_seconds = 0.0;
   bool compared = false;
@@ -92,9 +91,8 @@ struct RunResult {
   double clc_seconds = 0.0;
 };
 
-/// Builds the embedding for every snapshot through one shared cache (the
-/// arena pool persists across snapshots, as in the detector loop) and
-/// returns the best wall time over `reps` repetitions (best-of-N filters
+/// Builds the embedding for every snapshot through one shared cache (as in
+/// the detector loop) and returns the best wall time over `reps` repetitions (best-of-N filters
 /// the scheduler noise of shared machines; the work is deterministic, so
 /// the minimum is the cleanest estimate of the true cost). The last
 /// embedding is copied into *last.
@@ -223,9 +221,6 @@ int Run(int argc, char** argv) {
   double average_degree = 2.0;
   double tolerance = 1e-8;
   bool relabel = true;
-  bool tiled_spmm = true;
-  bool arena = true;
-  bool block_solver = true;
   bool compare_baseline = true;
   bool full_detectors = true;
   int64_t solve_reps = 1;
@@ -251,13 +246,6 @@ int Run(int argc, char** argv) {
   flags.AddDouble("tolerance", &tolerance, "CG relative-residual target");
   flags.AddBool("relabel", &relabel,
                 "optimized config: degree-ordered solver relabeling");
-  flags.AddBool("tiled_spmm", &tiled_spmm,
-                "optimized config: cache-blocked SpMM sweeps (no-op when "
-                "relabel already reorders rows)");
-  flags.AddBool("arena", &arena,
-                "optimized config: pooled dense buffers across snapshots");
-  flags.AddBool("block_solver", &block_solver,
-                "optimized config: lockstep block solver");
   flags.AddBool("compare_baseline", &compare_baseline,
                 "also time the default solver path and verify the optimized "
                 "embeddings are bit-identical to it");
@@ -293,10 +281,7 @@ int Run(int argc, char** argv) {
   bench::Banner("Scalability (paper §4.1.3): per-transition runtime vs n");
   std::cout << "  generator = " << generator << ", k = " << k
             << ", tolerance = " << tolerance << "\n  optimized config:"
-            << " relabel=" << (relabel ? "on" : "off")
-            << " tiled_spmm=" << (tiled_spmm ? "on" : "off")
-            << " arena=" << (arena ? "on" : "off")
-            << " block_solver=" << (block_solver ? "on" : "off") << "\n";
+            << " relabel=" << (relabel ? "on" : "off") << "\n";
 
   const obs::ScopedMetricsEnable metrics_enable;
 
@@ -335,10 +320,7 @@ int Run(int argc, char** argv) {
       optimized.embedding_dim = static_cast<size_t>(k);
       optimized.cg.tolerance = tolerance;
       optimized.cg.num_threads = static_cast<size_t>(threads);
-      optimized.cg.use_block_solver = block_solver;
-      optimized.cg.tiled_spmm = tiled_spmm;
       optimized.relabel = relabel;
-      optimized.use_arena = arena;
 
       // Solve stage: embedding builds only, optimized vs default path.
       DenseMatrix optimized_embedding;
@@ -358,7 +340,7 @@ int Run(int argc, char** argv) {
         CAD_CHECK(result.bit_identical)
             << "optimized solve is NOT bit-identical to the default path at "
             << "n=" << n << " threads=" << threads
-            << " — the relabel/tiling/arena contract is broken";
+            << " — the relabeling contract is broken";
       }
 
       // Full CAD pass (generation-to-report) with the optimized config.
@@ -450,9 +432,6 @@ int Run(int argc, char** argv) {
       options.embedding_dim = static_cast<size_t>(k);
       options.cg.tolerance = tolerance;
       options.cg.num_threads = static_cast<size_t>(thread_counts.front());
-      options.cg.use_block_solver = block_solver;
-      options.cg.tiled_spmm = tiled_spmm;
-      options.use_arena = arena;
       options.incremental_tolerance = incremental_tolerance;
       IncrementalResult inc = TimeIncrementalStage(stream, options, solve_reps);
       inc.n = n;
@@ -492,12 +471,6 @@ int Run(int argc, char** argv) {
     json.BeginObject();
     json.Key("relabel");
     json.Bool(relabel);
-    json.Key("tiled_spmm");
-    json.Bool(tiled_spmm);
-    json.Key("arena");
-    json.Bool(arena);
-    json.Key("block_solver");
-    json.Bool(block_solver);
     json.EndObject();
     json.Key("rows");
     json.BeginArray();

@@ -50,9 +50,6 @@ struct PipelineOptions {
   /// IC(0) refactorization trigger under warm_start
   /// (see CommuteSolverCache).
   double refactor_threshold = 0.1;
-  /// Advance the k CG systems in lockstep through shared SpMM sweeps
-  /// (see CgOptions::use_block_solver). Bit-identical results either way.
-  bool block_solver = false;
   /// Optional heartbeat reporter (not owned; must outlive the run). The
   /// pipeline ticks it once per completed stage (score, threshold, localize,
   /// classify for the commute family; score for the node-score baselines),

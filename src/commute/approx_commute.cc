@@ -4,7 +4,6 @@
 
 #include "commute/solver_cache.h"
 #include "graph/relabel.h"
-#include "linalg/workspace.h"
 #include "obs/obs.h"
 
 namespace cad {
@@ -84,12 +83,6 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
     return to_solver != nullptr ? static_cast<size_t>(to_solver[i]) : i;
   };
 
-  // Arena path: dense temporaries come from (and return to) the cache's
-  // workspace so consecutive snapshots reuse the same buffers.
-  DenseWorkspace* ws =
-      options.use_arena && cache != nullptr ? cache->workspace() : nullptr;
-  if (ws != nullptr) CAD_METRIC_INC("commute.arena_builds");
-
   // Step 1: Y = Q W^{1/2} B, built by streaming edges. For edge e = (u, v,
   // w), row e of W^{1/2} B is sqrt(w) (e_u - e_v)^T, so node u's row of the
   // block gains sqrt(w) * q_e and node v's loses it, where q_e is the e-th
@@ -98,8 +91,7 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   // solver consumes the k right-hand sides as columns. Edges stream in
   // their canonical order regardless of relabeling — only the destination
   // rows move, so each node's row keeps its exact accumulation sequence.
-  PooledDense b_pool(ws, n, k);
-  DenseMatrix& b = b_pool.get();
+  DenseMatrix b(n, k);
   const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
   if (options.warm_start) {
     // Edge-keyed draws: stable under edge churn (see EdgeJlSeed).
@@ -148,16 +140,14 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   // cache's staleness trigger fires.
   CgSolveContext context;
   if (relabel) context.reduction_order = &relabeling.new_id;
-  context.workspace = ws;
   const DenseMatrix* previous =
       options.warm_start && cache != nullptr ? cache->PreviousEmbedding(k, n)
                                              : nullptr;
-  PooledDense x0_pool(ws, previous != nullptr ? n : 0,
-                      previous != nullptr ? k : 0);
+  DenseMatrix x0;
   if (previous != nullptr) {
     // Stored k x n in original ids; the solver wants the node-major n x k
     // guess block in solver layout.
-    DenseMatrix& x0 = x0_pool.get();
+    x0 = DenseMatrix(n, k);
     for (size_t i = 0; i < n; ++i) {
       double* row = x0.mutable_row(solver_row(i));
       for (size_t r = 0; r < k; ++r) row[r] = (*previous)(r, i);
@@ -171,37 +161,9 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
   }
 
   std::vector<CgSummary> summaries;
-  DenseMatrix z(k, n);
-  if (options.cg.use_block_solver || relabel) {
-    // Relabeled systems always take the lockstep path: it is bit-identical
-    // to the serial path by contract, and it is where the reduction-order
-    // indirection lives.
-    DenseMatrix x;
-    CAD_ASSIGN_OR_RETURN(summaries,
-                         solver.SolveBlock(laplacian, b, &x, context));
-    for (size_t r = 0; r < k; ++r) {
-      double* z_row = z.mutable_row(r);
-      for (size_t i = 0; i < n; ++i) z_row[i] = x(solver_row(i), r);
-    }
-    if (ws != nullptr) ws->Release(std::move(x));
-  } else {
-    // Batch the k systems so the preconditioner (which may be an incomplete
-    // Cholesky factorization) is built once.
-    std::vector<std::vector<double>> rhs(k);
-    for (size_t r = 0; r < k; ++r) {
-      rhs[r].resize(n);
-      for (size_t i = 0; i < n; ++i) rhs[r][i] = b(i, r);
-    }
-    std::vector<std::vector<double>> solutions;
-    CAD_ASSIGN_OR_RETURN(
-        summaries, solver.SolveMany(laplacian, rhs, &solutions, context));
-    for (size_t r = 0; r < k; ++r) {
-      double* z_row = z.mutable_row(r);
-      for (size_t i = 0; i < n; ++i) z_row[i] = solutions[r][i];
-    }
-  }
-
-  const CgBatchStats cg_stats = SummarizeCgBatch(summaries);
+  DenseMatrix x;
+  CAD_ASSIGN_OR_RETURN(summaries,
+                       solver.SolveBlock(laplacian, b, &x, context));
   for (size_t r = 0; r < k; ++r) {
     if (options.require_convergence && !summaries[r].converged) {
       return Status::NumericalError(
@@ -210,15 +172,29 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::Build(
           std::to_string(summaries[r].relative_residual) + ")");
     }
   }
-  if (options.warm_start && cache != nullptr) cache->StoreEmbedding(z);
-  // Incremental mode: persist the (original-layout) RHS block so the next
-  // window can update it in O(churn * k) instead of rebuilding it.
-  if (options.incremental && cache != nullptr) cache->StoreIncrementalRhs(b);
+  // Release the guess and (unless the incremental state keeps it) the RHS
+  // block before the k x n output is allocated, so the output never
+  // coexists with them.
+  x0 = DenseMatrix();
+  if (options.incremental && cache != nullptr) {
+    // Persist the (original-layout) RHS block so the next window can update
+    // it in O(churn * k) instead of rebuilding it.
+    cache->StoreIncrementalRhs(std::move(b));
+  } else {
+    b = DenseMatrix();
+  }
+  DenseMatrix z(k, n);
+  for (size_t r = 0; r < k; ++r) {
+    double* z_row = z.mutable_row(r);
+    for (size_t i = 0; i < n; ++i) z_row[i] = x(solver_row(i), r);
+  }
+  x = DenseMatrix();
 
+  if (options.warm_start && cache != nullptr) cache->StoreEmbedding(z);
   return ApproxCommuteEmbedding(std::move(z), std::move(components), volume,
                                 sentinel,
                                 options.commute.use_cross_component_sentinel,
-                                cg_stats);
+                                SummarizeCgBatch(summaries));
 }
 
 Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
@@ -294,13 +270,17 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
   // touched — columns that the churn barely perturbed are kept even when
   // their generator overlapped a changed edge, and epsilon drift (volume
   // changes move the regularizer) is accounted for automatically.
-  DenseMatrix x0(n, k);
-  for (size_t i = 0; i < n; ++i) {
-    double* row = x0.mutable_row(i);
-    for (size_t r = 0; r < k; ++r) row[r] = (*previous)(r, i);
-  }
+  // The n x k guess block and its product are dropped as soon as the gate
+  // has read them, before any re-solve allocates.
   DenseMatrix lz;
-  laplacian.MultiplyBlock(x0, &lz);
+  {
+    DenseMatrix x0(n, k);
+    for (size_t i = 0; i < n; ++i) {
+      double* row = x0.mutable_row(i);
+      for (size_t r = 0; r < k; ++r) row[r] = (*previous)(r, i);
+    }
+    laplacian.MultiplyBlock(x0, &lz);
+  }
   const double tol = std::max(options.incremental_tolerance, 0.0);
   std::vector<size_t> resolve;
   for (size_t r = 0; r < k; ++r) {
@@ -314,55 +294,33 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
     }
     if (residual2 > tol * tol * norm2) resolve.push_back(r);
   }
+  lz = DenseMatrix();
 
   // Step 3: re-solve only the gated columns, warm-started from the cached
   // embedding; everything else is reused verbatim.
+  const size_t s = resolve.size();
   std::vector<CgSummary> summaries;
-  DenseMatrix z = *previous;
-  if (!resolve.empty()) {
-    const size_t s = resolve.size();
+  DenseMatrix x;
+  if (s > 0) {
     DenseMatrix bs(n, s);
     DenseMatrix x0s(n, s);
     for (size_t i = 0; i < n; ++i) {
       const double* rhs_row = rhs->row(i);
-      const double* x0_row = x0.row(i);
       double* bs_row = bs.mutable_row(i);
       double* x0s_row = x0s.mutable_row(i);
       for (size_t idx = 0; idx < s; ++idx) {
         bs_row[idx] = rhs_row[resolve[idx]];
-        x0s_row[idx] = x0_row[resolve[idx]];
+        x0s_row[idx] = (*previous)(resolve[idx], i);
       }
     }
     CgSolveContext context;
     context.initial_guess = &x0s;
-    context.workspace = options.use_arena ? cache->workspace() : nullptr;
     if (options.cg.preconditioner == CgPreconditioner::kIncompleteCholesky) {
       CAD_ASSIGN_OR_RETURN(context.cached_factor, cache->FactorFor(laplacian));
     }
     const ConjugateGradientSolver solver(options.cg);
-    if (options.cg.use_block_solver) {
-      DenseMatrix x;
-      CAD_ASSIGN_OR_RETURN(summaries,
-                           solver.SolveBlock(laplacian, bs, &x, context));
-      for (size_t idx = 0; idx < s; ++idx) {
-        double* z_row = z.mutable_row(resolve[idx]);
-        for (size_t i = 0; i < n; ++i) z_row[i] = x(i, idx);
-      }
-    } else {
-      std::vector<std::vector<double>> rhs_cols(s);
-      for (size_t idx = 0; idx < s; ++idx) {
-        rhs_cols[idx].resize(n);
-        for (size_t i = 0; i < n; ++i) rhs_cols[idx][i] = bs(i, idx);
-      }
-      std::vector<std::vector<double>> solutions;
-      CAD_ASSIGN_OR_RETURN(
-          summaries, solver.SolveMany(laplacian, rhs_cols, &solutions,
-                                      context));
-      for (size_t idx = 0; idx < s; ++idx) {
-        double* z_row = z.mutable_row(resolve[idx]);
-        for (size_t i = 0; i < n; ++i) z_row[i] = solutions[idx][i];
-      }
-    }
+    CAD_ASSIGN_OR_RETURN(summaries,
+                         solver.SolveBlock(laplacian, bs, &x, context));
     for (size_t idx = 0; idx < s; ++idx) {
       if (options.require_convergence && !summaries[idx].converged) {
         return Status::NumericalError(
@@ -373,14 +331,19 @@ Result<ApproxCommuteEmbedding> ApproxCommuteEmbedding::BuildIncremental(
       }
     }
   }
+  DenseMatrix z = *previous;
+  for (size_t idx = 0; idx < s; ++idx) {
+    double* z_row = z.mutable_row(resolve[idx]);
+    for (size_t i = 0; i < n; ++i) z_row[i] = x(i, idx);
+  }
+  x = DenseMatrix();
 
   cache->StoreEmbedding(z);
-  cache->RecordIncrementalBuild(resolve.size(), k);
-  const CgBatchStats cg_stats = SummarizeCgBatch(summaries);
+  cache->RecordIncrementalBuild(s, k);
   return ApproxCommuteEmbedding(std::move(z), std::move(components), volume,
                                 sentinel,
                                 options.commute.use_cross_component_sentinel,
-                                cg_stats);
+                                SummarizeCgBatch(summaries));
 }
 
 double ApproxCommuteEmbedding::CommuteTime(NodeId u, NodeId v) const {

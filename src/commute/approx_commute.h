@@ -24,7 +24,7 @@ struct ApproxCommuteOptions {
   /// Seed for the random projection.
   uint64_t seed = 1;
   /// Linear solver configuration for the k Laplacian systems. Set
-  /// cg.num_threads > 1 to solve the k independent systems concurrently.
+  /// cg.num_threads > 1 to solve the systems' column chunks concurrently.
   CgOptions cg;
   /// Numerical handling shared with the exact engine.
   CommuteTimeOptions commute;
@@ -50,17 +50,10 @@ struct ApproxCommuteOptions {
   /// replays the exact floating-point sequence of the unpermuted one
   /// (stored-order-preserving CSR permutation + original-order reductions;
   /// see graph/relabel.h), so embeddings, scores, and reports are
-  /// bit-identical with the flag on or off. Always routed through the
-  /// lockstep block solver (itself bit-identical to the serial path).
-  /// Incompatible with kIncompleteCholesky, whose factorization depends on
-  /// elimination order; Build returns InvalidArgument for that combination.
+  /// bit-identical with the flag on or off. Incompatible with
+  /// kIncompleteCholesky, whose factorization depends on elimination order;
+  /// Build returns InvalidArgument for that combination.
   bool relabel = false;
-  /// Pool the per-snapshot dense temporaries (JL right-hand sides, CG
-  /// work blocks, solution staging) in the CommuteSolverCache's workspace
-  /// so consecutive windows reuse buffers instead of reallocating them.
-  /// Requires a cache at Build; bitwise-identical results either way
-  /// (pooled buffers are re-zeroed on acquire).
-  bool use_arena = false;
   /// Incremental maintenance (opt-in; requires warm_start for the
   /// edge-keyed JL draws and a cache to hold the state, and is incompatible
   /// with relabel, whose solver-space RHS layout the cached block cannot

@@ -41,8 +41,8 @@ DenseMatrix* CommuteSolverCache::MutableIncrementalRhs(size_t num_nodes,
   return &*incremental_rhs_;
 }
 
-void CommuteSolverCache::StoreIncrementalRhs(const DenseMatrix& rhs) {
-  incremental_rhs_ = rhs;
+void CommuteSolverCache::StoreIncrementalRhs(DenseMatrix rhs) {
+  incremental_rhs_ = std::move(rhs);
 }
 
 void CommuteSolverCache::RecordIncrementalBuild(size_t resolved,
@@ -130,11 +130,6 @@ Result<const IncompleteCholesky*> CommuteSolverCache::FactorFor(
     CAD_METRIC_INC("commute.ic0_factor_reuses");
   }
   return static_cast<const IncompleteCholesky*>(&*factor_);
-}
-
-DenseWorkspace* CommuteSolverCache::workspace() {
-  if (workspace_ == nullptr) workspace_ = std::make_unique<DenseWorkspace>();
-  return workspace_.get();
 }
 
 CommuteSolverCache::State CommuteSolverCache::ExportState() const {

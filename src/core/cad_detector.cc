@@ -165,12 +165,9 @@ Result<std::vector<TransitionScores>> CadDetector::Analyze(
   all_scores.reserve(sequence.num_transitions());
   // One cache per timeline: snapshot t's embedding and IC(0) factor carry
   // into snapshot t+1's build (no-op unless approx.warm_start is set and
-  // the approximate engine is selected). The arena path also needs the
-  // cache — it hosts the buffer pool consecutive builds draw from.
+  // the approximate engine is selected).
   CommuteSolverCache cache(options_.approx.refactor_threshold);
-  CommuteSolverCache* cache_ptr =
-      options_.approx.warm_start || options_.approx.use_arena ? &cache
-                                                              : nullptr;
+  CommuteSolverCache* cache_ptr = options_.approx.warm_start ? &cache : nullptr;
   std::unique_ptr<CommuteTimeOracle> previous;
   CAD_ASSIGN_OR_RETURN(previous, BuildOracle(sequence.Snapshot(0), cache_ptr));
   for (size_t t = 0; t + 1 < sequence.num_snapshots(); ++t) {
@@ -193,9 +190,7 @@ Result<TransitionScores> CadDetector::AnalyzeTransition(
   // A two-snapshot timeline still benefits from warm-starting `after` with
   // `before`'s embedding and factorization.
   CommuteSolverCache cache(options_.approx.refactor_threshold);
-  CommuteSolverCache* cache_ptr =
-      options_.approx.warm_start || options_.approx.use_arena ? &cache
-                                                              : nullptr;
+  CommuteSolverCache* cache_ptr = options_.approx.warm_start ? &cache : nullptr;
   std::unique_ptr<CommuteTimeOracle> oracle_before;
   CAD_ASSIGN_OR_RETURN(oracle_before, BuildOracle(before, cache_ptr));
   std::unique_ptr<CommuteTimeOracle> oracle_after;

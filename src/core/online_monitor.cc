@@ -160,11 +160,10 @@ Result<std::optional<AnomalyReport>> OnlineCadMonitor::ObserveImpl(
   }
 
   std::unique_ptr<CommuteTimeOracle> oracle;
-  CommuteSolverCache* cache = options_.detector.approx.warm_start ||
-                                      options_.detector.approx.use_arena ||
-                                      options_.incremental
-                                  ? &solver_cache_
-                                  : nullptr;
+  CommuteSolverCache* cache =
+      options_.detector.approx.warm_start || options_.incremental
+          ? &solver_cache_
+          : nullptr;
   if (options_.incremental && previous_snapshot_.has_value()) {
     // Incremental path: update the previous window's oracle under the edge
     // delta. (After GrowPreviousTo the node counts already match; growth

@@ -168,9 +168,9 @@ void CsrMatrix::MultiplyBlock(const DenseMatrix& x, DenseMatrix* y) const {
 
 namespace {
 
-/// Accumulates columns [c0, c0 + W) of one CSR row into W compile-time
-/// register accumulators. The per-column arithmetic is exactly the scalar
-/// kernel's: a local sum over the row's nonzeros in storage order, nothing
+/// Accumulates the W columns of one CSR row into W compile-time register
+/// accumulators; row j of X starts at x + j * stride. The per-column
+/// arithmetic is exactly the scalar kernel's: a local sum over the row's nonzeros in storage order, nothing
 /// else — W only controls how many independent column sums advance per
 /// entry load, so the result is bit-identical at any W. Keeping the sums in
 /// a fixed-size local array (instead of a heap vector the compiler must
@@ -179,8 +179,7 @@ namespace {
 template <size_t W, bool kOverwrite>
 inline void AccumulateRowChunk(const double* values, const uint32_t* cols,
                                size_t begin, size_t end, const double* x,
-                               size_t stride, size_t c0, double alpha,
-                               double* yi) {
+                               size_t stride, double alpha, double* yi) {
   double sums[W] = {0.0};
   // The column stream is sequential (hardware-prefetched) but the X rows it
   // gathers are not; issuing the row address a few entries ahead hides the
@@ -190,17 +189,17 @@ inline void AccumulateRowChunk(const double* values, const uint32_t* cols,
   for (size_t p = begin; p < end; ++p) {
     if (p + kPrefetchAhead < end) {
       __builtin_prefetch(
-          x + static_cast<size_t>(cols[p + kPrefetchAhead]) * stride + c0);
+          x + static_cast<size_t>(cols[p + kPrefetchAhead]) * stride);
     }
     const double v = values[p];
-    const double* xj = x + static_cast<size_t>(cols[p]) * stride + c0;
+    const double* xj = x + static_cast<size_t>(cols[p]) * stride;
     for (size_t w = 0; w < W; ++w) sums[w] += v * xj[w];
   }
   for (size_t w = 0; w < W; ++w) {
     // The overwrite form spells out `0.0 +` so its result is bitwise the
     // accumulate form applied to a zero-filled Y (0.0 + (-0.0) is +0.0,
     // exactly as `fill(0); y += v` would produce).
-    yi[c0 + w] = kOverwrite ? 0.0 + alpha * sums[w] : yi[c0 + w] + alpha * sums[w];
+    yi[w] = kOverwrite ? 0.0 + alpha * sums[w] : yi[w] + alpha * sums[w];
   }
 }
 
@@ -210,24 +209,25 @@ inline void AccumulateRowChunk(const double* values, const uint32_t* cols,
 template <bool kOverwrite>
 inline void AccumulateRowNarrow(const double* values, const uint32_t* cols,
                                 size_t begin, size_t end, const double* x,
-                                size_t k, double alpha, double* yi) {
+                                size_t stride, size_t k, double alpha,
+                                double* yi) {
   switch (k) {
-    case 1: AccumulateRowChunk<1, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 2: AccumulateRowChunk<2, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 3: AccumulateRowChunk<3, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 4: AccumulateRowChunk<4, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 5: AccumulateRowChunk<5, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 6: AccumulateRowChunk<6, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 7: AccumulateRowChunk<7, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 8: AccumulateRowChunk<8, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 9: AccumulateRowChunk<9, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 10: AccumulateRowChunk<10, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 11: AccumulateRowChunk<11, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 12: AccumulateRowChunk<12, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 13: AccumulateRowChunk<13, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 14: AccumulateRowChunk<14, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 15: AccumulateRowChunk<15, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
-    case 16: AccumulateRowChunk<16, kOverwrite>(values, cols, begin, end, x, k, 0, alpha, yi); break;
+    case 1: AccumulateRowChunk<1, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 2: AccumulateRowChunk<2, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 3: AccumulateRowChunk<3, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 4: AccumulateRowChunk<4, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 5: AccumulateRowChunk<5, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 6: AccumulateRowChunk<6, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 7: AccumulateRowChunk<7, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 8: AccumulateRowChunk<8, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 9: AccumulateRowChunk<9, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 10: AccumulateRowChunk<10, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 11: AccumulateRowChunk<11, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 12: AccumulateRowChunk<12, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 13: AccumulateRowChunk<13, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 14: AccumulateRowChunk<14, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 15: AccumulateRowChunk<15, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
+    case 16: AccumulateRowChunk<16, kOverwrite>(values, cols, begin, end, x, stride, alpha, yi); break;
     default: break;
   }
 }
@@ -236,10 +236,11 @@ inline void AccumulateRowNarrow(const double* values, const uint32_t* cols,
 
 template <bool kOverwrite>
 void CsrMatrix::BlockProductImpl(double alpha, const DenseMatrix& x,
-                                 DenseMatrix* y) const {
+                                 size_t x_first_col, DenseMatrix* y) const {
   CAD_DCHECK(x.rows() == cols_ && y->rows() == rows_ &&
-             y->cols() == x.cols());
-  const size_t k = x.cols();
+             x_first_col + y->cols() <= x.cols());
+  const size_t k = y->cols();
+  const size_t stride = x.cols();
   // Per-row accumulators: column c follows the exact FP sequence of
   // MultiplyAccumulate on column c (a local sum over the row's nonzeros in
   // CSR order, then one `+= alpha * sum`), so the block product is
@@ -249,11 +250,12 @@ void CsrMatrix::BlockProductImpl(double alpha, const DenseMatrix& x,
   // wider blocks keep the single-pass heap accumulators. Neither variant
   // mixes columns, so neither can change bits.
   if (k >= 1 && k <= 16) {
-    const double* xd = x.data().data();
+    const double* xd = x.data().data() + x_first_col;
     for (size_t i = 0; i < rows_; ++i) {
       AccumulateRowNarrow<kOverwrite>(values_.data(), col_indices_.data(),
                                       row_offsets_[i], row_offsets_[i + 1],
-                                      xd, k, alpha, y->mutable_row(i));
+                                      xd, stride, k, alpha,
+                                      y->mutable_row(i));
     }
     return;
   }
@@ -263,7 +265,7 @@ void CsrMatrix::BlockProductImpl(double alpha, const DenseMatrix& x,
     std::fill(sums.begin(), sums.end(), 0.0);
     for (size_t p = row_offsets_[i]; p < row_offsets_[i + 1]; ++p) {
       const double v = values_[p];
-      const double* xj = x.row(col_indices_[p]);
+      const double* xj = x.row(col_indices_[p]) + x_first_col;
       size_t c = 0;
       for (; c < k4; c += 4) {
         sums[c] += v * xj[c];
@@ -281,129 +283,14 @@ void CsrMatrix::BlockProductImpl(double alpha, const DenseMatrix& x,
 }
 
 void CsrMatrix::MultiplyAccumulateBlock(double alpha, const DenseMatrix& x,
-                                        DenseMatrix* y) const {
-  BlockProductImpl<false>(alpha, x, y);
+                                        DenseMatrix* y,
+                                        size_t x_first_col) const {
+  BlockProductImpl<false>(alpha, x, x_first_col, y);
 }
 
 void CsrMatrix::MultiplyOverwriteBlock(double alpha, const DenseMatrix& x,
                                        DenseMatrix* y) const {
-  BlockProductImpl<true>(alpha, x, y);
-}
-
-void CsrMatrix::MultiplyAccumulateBlockTiled(double alpha,
-                                             const DenseMatrix& x,
-                                             DenseMatrix* y,
-                                             const CsrTilePlan& plan) const {
-  CAD_DCHECK(x.rows() == cols_ && y->rows() == rows_ &&
-             y->cols() == x.cols());
-  CAD_DCHECK_EQ(plan.rows(), rows_);
-  CAD_DCHECK_EQ(plan.nnz(), nnz());
-  const size_t k = x.cols();
-  const size_t k4 = k - k % 4;
-  const size_t row_block = plan.row_block();
-  const std::vector<uint32_t>& cols = plan.col_indices();
-  const std::vector<double>& vals = plan.values();
-  const std::vector<CsrTilePlan::Segment>& segments = plan.segments();
-  const std::vector<size_t>& block_offsets = plan.block_segment_offsets();
-
-  // One accumulator tile per row block, identical per-column arithmetic to
-  // the untiled kernel's `sums`: each row's products arrive in ascending
-  // column order (bands ascending, columns ascending within a band), and
-  // the tile row is folded into Y with a single `+= alpha * sum`.
-  std::vector<double> tile(row_block * k);
-  size_t pos = 0;
-  for (size_t block = 0; block + 1 < block_offsets.size(); ++block) {
-    const size_t first_row = block * row_block;
-    const size_t rows_here = std::min(row_block, rows_ - first_row);
-    std::fill(tile.begin(), tile.begin() + rows_here * k, 0.0);
-    for (size_t s = block_offsets[block]; s < block_offsets[block + 1]; ++s) {
-      const CsrTilePlan::Segment segment = segments[s];
-      double* sums = tile.data() + static_cast<size_t>(segment.local_row) * k;
-      for (uint32_t e = 0; e < segment.length; ++e, ++pos) {
-        const double v = vals[pos];
-        const double* xj = x.row(cols[pos]);
-        size_t c = 0;
-        for (; c < k4; c += 4) {
-          sums[c] += v * xj[c];
-          sums[c + 1] += v * xj[c + 1];
-          sums[c + 2] += v * xj[c + 2];
-          sums[c + 3] += v * xj[c + 3];
-        }
-        for (; c < k; ++c) sums[c] += v * xj[c];
-      }
-    }
-    for (size_t r = 0; r < rows_here; ++r) {
-      double* yi = y->mutable_row(first_row + r);
-      const double* sums = tile.data() + r * k;
-      for (size_t c = 0; c < k; ++c) yi[c] += alpha * sums[c];
-    }
-  }
-}
-
-CsrTilePlan CsrTilePlan::Build(const CsrMatrix& matrix, size_t block_width,
-                               size_t row_block, size_t col_block) {
-  CAD_CHECK(matrix.sorted_rows());
-  const size_t rows = matrix.rows();
-  const size_t cols = matrix.cols();
-  const size_t k = std::max<size_t>(block_width, 1);
-  if (row_block == 0) {
-    // Accumulator tile ~ 32 KiB: hot in L1 next to the streamed matrix.
-    row_block = std::max<size_t>(16, 4096 / k);
-  }
-  if (col_block == 0) {
-    // Band of X ~ 512 KiB: the gather working set fits mid-level cache.
-    col_block = std::max<size_t>(1024, 65536 / k);
-  }
-  CsrTilePlan plan;
-  plan.rows_ = rows;
-  plan.row_block_ = row_block;
-  plan.col_block_ = col_block;
-  if (rows == 0) {
-    plan.block_segment_offsets_.assign(1, 0);
-    return plan;
-  }
-  const size_t num_blocks = (rows + row_block - 1) / row_block;
-  const size_t num_bands = (cols + col_block - 1) / col_block;
-  plan.col_indices_.resize(matrix.nnz());
-  plan.values_.resize(matrix.nnz());
-  plan.block_segment_offsets_.reserve(num_blocks + 1);
-  plan.block_segment_offsets_.push_back(0);
-
-  const std::vector<uint32_t>& src_cols = matrix.col_indices();
-  const std::vector<double>& src_vals = matrix.values();
-  std::vector<size_t> cursor(row_block);
-  size_t out = 0;
-  for (size_t block = 0; block < num_blocks; ++block) {
-    const size_t first_row = block * row_block;
-    const size_t rows_here = std::min(row_block, rows - first_row);
-    for (size_t r = 0; r < rows_here; ++r) {
-      cursor[r] = matrix.RowBegin(first_row + r);
-    }
-    for (size_t band = 0; band < num_bands; ++band) {
-      const size_t band_end_col = std::min(cols, (band + 1) * col_block);
-      for (size_t r = 0; r < rows_here; ++r) {
-        const size_t row_end = matrix.RowEnd(first_row + r);
-        size_t p = cursor[r];
-        const size_t start = p;
-        while (p < row_end && src_cols[p] < band_end_col) ++p;
-        if (p > start) {
-          plan.segments_.push_back(Segment{static_cast<uint32_t>(r),
-                                           static_cast<uint32_t>(p - start)});
-          std::copy(src_cols.begin() + static_cast<long>(start),
-                    src_cols.begin() + static_cast<long>(p),
-                    plan.col_indices_.begin() + static_cast<long>(out));
-          std::copy(src_vals.begin() + static_cast<long>(start),
-                    src_vals.begin() + static_cast<long>(p),
-                    plan.values_.begin() + static_cast<long>(out));
-          out += p - start;
-          cursor[r] = p;
-        }
-      }
-    }
-    plan.block_segment_offsets_.push_back(plan.segments_.size());
-  }
-  CAD_CHECK_EQ(out, matrix.nnz());
-  return plan;
+  BlockProductImpl<true>(alpha, x, 0, y);
 }
 
 double CsrMatrix::At(uint32_t row, uint32_t col) const {

@@ -28,7 +28,6 @@ struct Triplet {
 };
 
 class CsrMatrix;
-class CsrTilePlan;
 
 /// \brief Coordinate-format builder for sparse matrices.
 ///
@@ -101,7 +100,7 @@ class CsrMatrix {
   /// True when every row's column indices are stored strictly increasing
   /// (the default). False only for matrices built with UnsortedRowsTag;
   /// those support the Multiply* sweeps, Diagonal and At (linear scan), but
-  /// not order-dependent consumers (IC(0) factorization, tile plans).
+  /// not order-dependent consumers (IC(0) factorization).
   bool sorted_rows() const { return sorted_rows_; }
 
   size_t rows() const { return rows_; }
@@ -125,10 +124,13 @@ class CsrMatrix {
   /// order is unchanged, only the loop nest is. Resizes *y to rows() x k.
   void MultiplyBlock(const DenseMatrix& x, DenseMatrix* y) const;
 
-  /// Y += alpha * A X, the block analog of MultiplyAccumulate (no resize;
-  /// *y must already be rows() x X.cols()). Same bit-identity guarantee.
+  /// Y += alpha * A X[:, x_first_col, x_first_col + Y.cols()), the block
+  /// analog of MultiplyAccumulate (no resize; *y must already be rows() x w
+  /// with x_first_col + w <= X.cols()). The column offset lets a caller
+  /// multiply one column range of a wider block in place. Same bit-identity
+  /// guarantee.
   void MultiplyAccumulateBlock(double alpha, const DenseMatrix& x,
-                               DenseMatrix* y) const;
+                               DenseMatrix* y, size_t x_first_col = 0) const;
 
   /// Y = alpha * A X without reading Y first (no resize; *y must already be
   /// rows() x X.cols()). Each output is computed as `0.0 + alpha * sum`, so
@@ -137,17 +139,6 @@ class CsrMatrix {
   /// the lockstep CG loop, where Y is overwritten every iteration anyway.
   void MultiplyOverwriteBlock(double alpha, const DenseMatrix& x,
                               DenseMatrix* y) const;
-
-  /// Cache-blocked Y += alpha * A X using a precomputed CsrTilePlan (built
-  /// from this matrix; see CsrTilePlan::Build). Row blocks keep a small
-  /// accumulator tile hot while column bands bound the working set of X
-  /// gathers. Per row the nonzeros are visited in ascending-band,
-  /// ascending-column order — exactly the sorted storage order — so every
-  /// per-column partial-sum sequence matches MultiplyAccumulateBlock bit
-  /// for bit.
-  void MultiplyAccumulateBlockTiled(double alpha, const DenseMatrix& x,
-                                    DenseMatrix* y,
-                                    const CsrTilePlan& plan) const;
 
   /// Returns the entry at (row, col), or 0 if absent. O(log deg(row)) for
   /// sorted rows, O(deg(row)) otherwise.
@@ -192,7 +183,7 @@ class CsrMatrix {
   // flag only changes how each finished row sum lands in Y.
   template <bool kOverwrite>
   void BlockProductImpl(double alpha, const DenseMatrix& x,
-                        DenseMatrix* y) const;
+                        size_t x_first_col, DenseMatrix* y) const;
 
   size_t rows_;
   size_t cols_;
@@ -200,63 +191,6 @@ class CsrMatrix {
   std::vector<uint32_t> col_indices_;
   std::vector<double> values_;
   bool sorted_rows_ = true;
-};
-
-/// \brief Precomputed cache-blocking layout for
-/// CsrMatrix::MultiplyAccumulateBlockTiled.
-///
-/// The matrix is cut into row blocks of `row_block` rows; within a block
-/// the nonzeros are regrouped band-major: all entries with columns in band
-/// 0 ([0, col_block)) first, then band 1, and so on, each band's entries
-/// ordered by (row, column). The kernel walks one block's stream start to
-/// finish, so X gathers stay inside one band (col_block * k doubles — sized
-/// for L2) while the block's accumulator tile (row_block * k doubles) stays
-/// in L1. Because bands partition the column range in ascending order, the
-/// per-row visit order equals the sorted CSR storage order and the product
-/// is bit-identical to the untiled kernel.
-///
-/// Build is O(nnz + rows * num_bands) once; the plan is immutable and
-/// shared read-only across threads and CG iterations. Requires
-/// matrix.sorted_rows() — relabeled (unsorted-row) matrices must keep their
-/// stored order and cannot be re-banded without changing result bits.
-class CsrTilePlan {
- public:
-  /// A maximal run of one row's entries inside one (row block, band) cell.
-  struct Segment {
-    uint32_t local_row;  // row index within the row block
-    uint32_t length;     // number of entries
-  };
-
-  /// Builds a plan for `matrix`. `row_block`/`col_block` of 0 pick defaults
-  /// sized for `block_width`-column right-hand blocks (the solver's k).
-  static CsrTilePlan Build(const CsrMatrix& matrix, size_t block_width,
-                           size_t row_block = 0, size_t col_block = 0);
-
-  size_t row_block() const { return row_block_; }
-  size_t col_block() const { return col_block_; }
-  size_t num_row_blocks() const {
-    return block_segment_offsets_.empty() ? 0
-                                          : block_segment_offsets_.size() - 1;
-  }
-  size_t rows() const { return rows_; }
-  size_t nnz() const { return values_.size(); }
-
-  const std::vector<uint32_t>& col_indices() const { return col_indices_; }
-  const std::vector<double>& values() const { return values_; }
-  const std::vector<Segment>& segments() const { return segments_; }
-  /// Per row block: [first, last) segment indices.
-  const std::vector<size_t>& block_segment_offsets() const {
-    return block_segment_offsets_;
-  }
-
- private:
-  size_t rows_ = 0;
-  size_t row_block_ = 0;
-  size_t col_block_ = 0;
-  std::vector<uint32_t> col_indices_;  // band-major reordered copy
-  std::vector<double> values_;
-  std::vector<Segment> segments_;
-  std::vector<size_t> block_segment_offsets_;
 };
 
 }  // namespace cad

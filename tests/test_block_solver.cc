@@ -1,6 +1,7 @@
-// Lockstep block-PCG contract tests: SolveBlock must reproduce the serial
-// per-RHS path bit for bit — solutions, residuals, and iteration counts —
-// because its per-column floating-point operation sequence is identical.
+// Lockstep block-PCG contract tests: SolveBlock must reproduce one
+// single-RHS Solve per column bit for bit — solutions, residuals, and
+// iteration counts — because its per-column floating-point operation
+// sequence is identical.
 // (The thread-sweep variant of this contract lives in
 // test_parallel_stress.cc.)
 
@@ -46,13 +47,10 @@ DenseMatrix RhsBlock(size_t n, size_t k, uint64_t seed) {
   return b;
 }
 
-std::vector<std::vector<double>> Columns(const DenseMatrix& b) {
-  std::vector<std::vector<double>> columns(b.cols());
-  for (size_t c = 0; c < b.cols(); ++c) {
-    columns[c].resize(b.rows());
-    for (size_t i = 0; i < b.rows(); ++i) columns[c][i] = b(i, c);
-  }
-  return columns;
+std::vector<double> Column(const DenseMatrix& b, size_t c) {
+  std::vector<double> column(b.rows());
+  for (size_t i = 0; i < b.rows(); ++i) column[i] = b(i, c);
+  return column;
 }
 
 void ExpectBitIdentical(double expected, double actual, const char* what,
@@ -71,21 +69,24 @@ void ExpectBlockMatchesSerial(const CsrMatrix& a, const DenseMatrix& b,
       solver.SolveBlock(a, b, &x_block, context);
   ASSERT_TRUE(block.ok()) << block.status().ToString();
 
-  const std::vector<std::vector<double>> rhs = Columns(b);
-  std::vector<std::vector<double>> x_serial;
-  Result<std::vector<CgSummary>> serial =
-      solver.SolveMany(a, rhs, &x_serial, context);
-  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-
-  ASSERT_EQ(block->size(), serial->size());
+  // The reference: one single-RHS Solve per column. A cached IC(0) factor
+  // is the factor of `a`, which Solve recomputes bit for bit.
+  ASSERT_EQ(block->size(), b.cols());
   for (size_t c = 0; c < b.cols(); ++c) {
-    EXPECT_EQ((*block)[c].iterations, (*serial)[c].iterations)
+    std::vector<double> x_serial;
+    Result<CgSummary> serial =
+        context.initial_guess != nullptr
+            ? solver.Solve(a, Column(b, c), Column(*context.initial_guess, c),
+                           &x_serial)
+            : solver.Solve(a, Column(b, c), &x_serial);
+    ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+    EXPECT_EQ((*block)[c].iterations, serial->iterations)
         << "iteration count differs for system " << c;
-    EXPECT_EQ((*block)[c].converged, (*serial)[c].converged);
-    ExpectBitIdentical((*serial)[c].relative_residual,
+    EXPECT_EQ((*block)[c].converged, serial->converged);
+    ExpectBitIdentical(serial->relative_residual,
                        (*block)[c].relative_residual, "residual", 0, c);
     for (size_t i = 0; i < b.rows(); ++i) {
-      ExpectBitIdentical(x_serial[c][i], x_block(i, c), "solution", i, c);
+      ExpectBitIdentical(x_serial[i], x_block(i, c), "solution", i, c);
     }
   }
 }
@@ -106,8 +107,9 @@ TEST_P(BlockSolverWidths, BitIdenticalToSerialAcrossPreconditioners) {
   }
 }
 
+// 17 and 50 span two and four column chunks of uneven width.
 INSTANTIATE_TEST_SUITE_P(Widths, BlockSolverWidths,
-                         ::testing::Values(1, 3, 8));
+                         ::testing::Values(1, 3, 8, 17, 50));
 
 TEST(BlockSolverTest, ZeroColumnConvergesInZeroIterationsAndStaysZero) {
   const CsrMatrix a = LaplacianFixture(40, 5);
@@ -125,12 +127,18 @@ TEST(BlockSolverTest, ZeroColumnConvergesInZeroIterationsAndStaysZero) {
 }
 
 TEST(BlockSolverTest, InitialGuessBlockMatchesSerialWarmSolves) {
+  // Wide enough for two chunks, so the second reads its guess columns at an
+  // offset; one zero column must ignore its guess.
+  const size_t k = 20;
   const CsrMatrix a = LaplacianFixture(90, 31);
-  const DenseMatrix b = RhsBlock(90, 4, 32);
-  // A deliberately mediocre guess: the rhs itself, scaled.
-  DenseMatrix guess(90, 4);
+  DenseMatrix b = RhsBlock(90, k, 32);
+  for (size_t i = 0; i < 90; ++i) b(i, 15) = 0.0;
+  // A deliberately mediocre guess: the rhs itself, scaled (plus a nonzero
+  // guess for the zero column).
+  DenseMatrix guess(90, k);
   for (size_t i = 0; i < 90; ++i) {
-    for (size_t c = 0; c < 4; ++c) guess(i, c) = 0.1 * b(i, c);
+    for (size_t c = 0; c < k; ++c) guess(i, c) = 0.1 * b(i, c);
+    guess(i, 15) = 1.0;
   }
   CgSolveContext context;
   context.initial_guess = &guess;
@@ -213,33 +221,6 @@ TEST(BlockSolverTest, RejectsMismatchedGuessShape) {
   DenseMatrix x;
   EXPECT_FALSE(
       ConjugateGradientSolver().SolveBlock(a, b, &x, context).ok());
-}
-
-TEST(BlockSolverTest, SolveManyDispatchesToBlockPath) {
-  // use_block_solver routes SolveMany through SolveBlock; outputs must stay
-  // bit-identical to the per-RHS path.
-  const CsrMatrix a = LaplacianFixture(70, 71);
-  const DenseMatrix b = RhsBlock(70, 5, 72);
-  const std::vector<std::vector<double>> rhs = Columns(b);
-
-  CgOptions serial_options;
-  CgOptions block_options;
-  block_options.use_block_solver = true;
-
-  std::vector<std::vector<double>> x_serial;
-  std::vector<std::vector<double>> x_block;
-  Result<std::vector<CgSummary>> serial =
-      ConjugateGradientSolver(serial_options).SolveMany(a, rhs, &x_serial);
-  Result<std::vector<CgSummary>> block =
-      ConjugateGradientSolver(block_options).SolveMany(a, rhs, &x_block);
-  ASSERT_TRUE(serial.ok());
-  ASSERT_TRUE(block.ok());
-  for (size_t c = 0; c < rhs.size(); ++c) {
-    EXPECT_EQ((*serial)[c].iterations, (*block)[c].iterations);
-    for (size_t i = 0; i < 70; ++i) {
-      ExpectBitIdentical(x_serial[c][i], x_block[c][i], "solution", i, c);
-    }
-  }
 }
 
 TEST(SpMMKernelTest, MultiplyBlockMatchesPerColumnSpMV) {

@@ -294,22 +294,24 @@ TEST(ApproxWarmStartTest, WarmStartOffIsBitIdenticalToLegacyBuild) {
 }
 
 TEST(ApproxWarmStartTest, BlockSolverMatchesSerialUnderWarmStart) {
+  // The warm-started, cached-factor timeline must not depend on how many
+  // threads run the block solver's column chunks (k = 24: two chunks).
   const WeightedGraph before = WarmStartFixtureGraph();
   WeightedGraph after = before;
   ASSERT_TRUE(after.SetEdge(5, 6, 3.0).ok());
   ApproxCommuteOptions options = WarmStartOptions();
   options.cg.preconditioner = CgPreconditioner::kIncompleteCholesky;
 
-  const auto build_timeline = [&](bool block) {
+  const auto build_timeline = [&](size_t threads) {
     ApproxCommuteOptions o = options;
-    o.cg.use_block_solver = block;
+    o.cg.num_threads = threads;
     CommuteSolverCache cache(o.refactor_threshold);
     auto first = ApproxCommuteEmbedding::Build(before, o, &cache);
     CAD_CHECK(first.ok());
     return ApproxCommuteEmbedding::Build(after, o, &cache);
   };
-  auto serial = build_timeline(false);
-  auto block = build_timeline(true);
+  auto serial = build_timeline(1);
+  auto block = build_timeline(4);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(block.ok());
   EXPECT_EQ(serial->total_cg_iterations(), block->total_cg_iterations());

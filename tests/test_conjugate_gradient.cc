@@ -309,30 +309,29 @@ TEST(SummarizeCgBatchTest, ZeroIterationFirstSummaryIsAValidMin) {
   EXPECT_EQ(stats.total_iterations, 5u);
 }
 
-TEST(SummarizeCgBatchTest, SolveManyBatchesAreRunToRunDeterministic) {
-  // Two identical SolveMany batches must report identical iteration stats
-  // (each solve's arithmetic is sequential, so iteration counts depend only
-  // on the system/rhs/options tuple).
+TEST(SummarizeCgBatchTest, SolveBlockBatchesAreRunToRunDeterministic) {
+  // Two identical SolveBlock batches must report identical iteration stats
+  // (each system's arithmetic is sequential, so iteration counts depend
+  // only on the system/rhs/options tuple).
   RandomGraphOptions opts;
   opts.num_nodes = 80;
   opts.average_degree = 6.0;
   opts.seed = 4242;
   const WeightedGraph g = MakeRandomSparseGraph(opts);
   const CsrMatrix l = g.ToLaplacianCsr(1e-6 * std::max(g.Volume(), 1.0));
-  std::vector<std::vector<double>> rhs(4,
-                                       std::vector<double>(opts.num_nodes, 0.0));
-  for (size_t j = 0; j < rhs.size(); ++j) {
-    rhs[j][j] = 1.0;
-    rhs[j][opts.num_nodes - 1 - j] = -1.0;
+  DenseMatrix rhs(opts.num_nodes, 4);
+  for (size_t j = 0; j < rhs.cols(); ++j) {
+    rhs(j, j) = 1.0;
+    rhs(opts.num_nodes - 1 - j, j) = -1.0;
   }
   CgOptions options;
   options.num_threads = 4;
   const ConjugateGradientSolver solver(options);
 
-  std::vector<std::vector<double>> x1;
-  std::vector<std::vector<double>> x2;
-  Result<std::vector<CgSummary>> first = solver.SolveMany(l, rhs, &x1);
-  Result<std::vector<CgSummary>> second = solver.SolveMany(l, rhs, &x2);
+  DenseMatrix x1;
+  DenseMatrix x2;
+  Result<std::vector<CgSummary>> first = solver.SolveBlock(l, rhs, &x1);
+  Result<std::vector<CgSummary>> second = solver.SolveBlock(l, rhs, &x2);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   const CgBatchStats stats1 = SummarizeCgBatch(*first);

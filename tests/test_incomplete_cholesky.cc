@@ -98,24 +98,28 @@ TEST(IncompleteCholeskyTest, CgWithIcConvergesFasterThanJacobi) {
   EXPECT_LT(ic_summary->iterations, jacobi_summary->iterations);
 }
 
-TEST(IncompleteCholeskyTest, SolveManyAmortizesFactorization) {
+TEST(IncompleteCholeskyTest, SolveBlockAmortizesFactorization) {
   const CsrMatrix a = SpdTridiagonal(100);
-  std::vector<std::vector<double>> rhs(3, std::vector<double>(100, 0.0));
-  rhs[0][0] = 1.0;
-  rhs[1][50] = 1.0;
-  rhs[2][99] = 1.0;
+  DenseMatrix rhs(100, 3);
+  rhs(0, 0) = 1.0;
+  rhs(50, 1) = 1.0;
+  rhs(99, 2) = 1.0;
   CgOptions options;
   options.preconditioner = CgPreconditioner::kIncompleteCholesky;
-  std::vector<std::vector<double>> solutions;
+  DenseMatrix solutions;
   auto summaries =
-      ConjugateGradientSolver(options).SolveMany(a, rhs, &solutions);
+      ConjugateGradientSolver(options).SolveBlock(a, rhs, &solutions);
   ASSERT_TRUE(summaries.ok());
-  ASSERT_EQ(solutions.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE((*summaries)[i].converged);
-    const std::vector<double> residual =
-        Subtract(a.Multiply(solutions[i]), rhs[i]);
-    EXPECT_LT(Norm2(residual), 1e-6);
+  ASSERT_EQ(summaries->size(), 3u);
+  for (size_t c = 0; c < 3; ++c) {
+    EXPECT_TRUE((*summaries)[c].converged);
+    std::vector<double> x(100);
+    std::vector<double> b(100);
+    for (size_t i = 0; i < 100; ++i) {
+      x[i] = solutions(i, c);
+      b[i] = rhs(i, c);
+    }
+    EXPECT_LT(Norm2(Subtract(a.Multiply(x), b)), 1e-6);
   }
 }
 

@@ -47,7 +47,7 @@ TEST(ParallelForTest, MoreThreadsThanWork) {
 
 TEST(HardwareThreadsTest, AtLeastOne) { EXPECT_GE(HardwareThreads(), 1u); }
 
-TEST(ParallelSolveTest, ParallelSolveManyMatchesSerial) {
+TEST(ParallelSolveTest, ParallelSolveBlockMatchesSerial) {
   RandomGraphOptions opts;
   opts.num_nodes = 300;
   opts.average_degree = 6.0;
@@ -55,28 +55,34 @@ TEST(ParallelSolveTest, ParallelSolveManyMatchesSerial) {
   const WeightedGraph g = MakeRandomSparseGraph(opts);
   const CsrMatrix l = g.ToLaplacianCsr(1e-8 * g.Volume());
 
-  std::vector<std::vector<double>> rhs(8, std::vector<double>(300, 0.0));
-  for (size_t i = 0; i < rhs.size(); ++i) {
-    rhs[i][i] = 1.0;
-    rhs[i][299 - i] = -1.0;
+  // 40 systems: three column chunks for the four threads to share.
+  constexpr size_t kSystems = 40;
+  DenseMatrix rhs(300, kSystems);
+  for (size_t c = 0; c < kSystems; ++c) {
+    rhs(c, c) = 1.0;
+    rhs(299 - c, c) = -1.0;
   }
 
-  CgOptions serial;
-  serial.num_threads = 1;
   CgOptions parallel;
   parallel.num_threads = 4;
-  std::vector<std::vector<double>> serial_solutions;
-  std::vector<std::vector<double>> parallel_solutions;
-  auto s1 = ConjugateGradientSolver(serial).SolveMany(l, rhs, &serial_solutions);
-  auto s2 =
-      ConjugateGradientSolver(parallel).SolveMany(l, rhs, &parallel_solutions);
-  ASSERT_TRUE(s1.ok());
-  ASSERT_TRUE(s2.ok());
-  // CG is deterministic per system; the parallel schedule must not change
-  // any solution bit-for-bit.
-  for (size_t i = 0; i < rhs.size(); ++i) {
-    EXPECT_EQ(serial_solutions[i], parallel_solutions[i]) << "system " << i;
-    EXPECT_EQ((*s1)[i].iterations, (*s2)[i].iterations);
+  const ConjugateGradientSolver solver(parallel);
+  DenseMatrix block;
+  auto summaries = solver.SolveBlock(l, rhs, &block);
+  ASSERT_TRUE(summaries.ok());
+  // CG is deterministic per system; neither the lockstep chunks nor the
+  // parallel schedule may change any solution bit relative to one serial
+  // Solve per system.
+  for (size_t c = 0; c < kSystems; ++c) {
+    std::vector<double> b(300, 0.0);
+    b[c] = 1.0;
+    b[299 - c] = -1.0;
+    std::vector<double> serial;
+    auto summary = solver.Solve(l, b, &serial);
+    ASSERT_TRUE(summary.ok());
+    for (size_t i = 0; i < 300; ++i) {
+      EXPECT_EQ(serial[i], block(i, c)) << "system " << c << ", row " << i;
+    }
+    EXPECT_EQ(summary->iterations, (*summaries)[c].iterations);
   }
 }
 

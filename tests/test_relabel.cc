@@ -1,14 +1,18 @@
 #include "graph/relabel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "commute/approx_commute.h"
 #include "datagen/rmat.h"
 #include "graph/graph.h"
+#include "linalg/conjugate_gradient.h"
 #include "linalg/sparse_matrix.h"
 
 namespace cad {
@@ -135,10 +139,11 @@ TEST(RelabelTest, RelabeledEmbeddingIsBitIdentical) {
 }
 
 TEST(RelabelTest, RelabeledBlockSolverIsBitIdenticalToo) {
+  // Wide enough for two column chunks, solved on four threads.
   const WeightedGraph graph = PowerLawGraph();
   ApproxCommuteOptions options;
-  options.embedding_dim = 6;
-  options.cg.use_block_solver = true;
+  options.embedding_dim = 20;
+  options.cg.num_threads = 4;
 
   Result<ApproxCommuteEmbedding> plain =
       ApproxCommuteEmbedding::Build(graph, options);
@@ -153,6 +158,65 @@ TEST(RelabelTest, RelabeledBlockSolverIsBitIdenticalToo) {
   const DenseMatrix& b = relabeled->embedding();
   EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
                         a.data().size() * sizeof(double)),
+            0);
+}
+
+/// The reference embedding the default (stream-order) construction defines:
+/// rebuilds the JL right-hand sides and solves each column with one
+/// single-RHS Solve. Returns the k x n embedding.
+DenseMatrix SolveEmbeddingPerColumn(const WeightedGraph& graph,
+                                    const ApproxCommuteOptions& options) {
+  const size_t n = graph.num_nodes();
+  const size_t k = options.embedding_dim;
+  DenseMatrix rhs(k, n);
+  Rng rng(options.seed);
+  const double inv_sqrt_k = 1.0 / std::sqrt(static_cast<double>(k));
+  std::vector<double> q(k);
+  for (const Edge& edge : SortedEdges(graph)) {
+    const double scale = std::sqrt(edge.weight) * inv_sqrt_k;
+    for (size_t r = 0; r < k; ++r) q[r] = rng.Rademacher() * scale;
+    for (size_t r = 0; r < k; ++r) {
+      rhs(r, edge.u) += q[r];
+      rhs(r, edge.v) -= q[r];
+    }
+  }
+  const CsrMatrix laplacian = graph.ToLaplacianCsr(
+      options.commute.regularization_scale * std::max(graph.Volume(), 1.0));
+  const ConjugateGradientSolver solver(options.cg);
+  DenseMatrix z(k, n);
+  for (size_t r = 0; r < k; ++r) {
+    const std::vector<double> b(rhs.row(r), rhs.row(r) + n);
+    std::vector<double> x;
+    CAD_CHECK_OK(solver.Solve(laplacian, b, &x).status());
+    std::copy(x.begin(), x.end(), z.mutable_row(r));
+  }
+  return z;
+}
+
+/// Every optimization at once — relabeling, several column chunks, four
+/// threads — must match one single-RHS Solve per column bit for bit.
+TEST(RelabelTest, FullyOptimizedConfigIsBitIdentical) {
+  RmatOptions graph_options;
+  graph_options.num_nodes = 250;
+  graph_options.num_edges = 1000;
+  graph_options.seed = 12;
+  Result<WeightedGraph> graph = MakeRmatGraph(graph_options);
+  ASSERT_TRUE(graph.ok());
+
+  ApproxCommuteOptions optimized;
+  optimized.embedding_dim = 40;
+  optimized.relabel = true;
+  optimized.cg.num_threads = 4;
+  Result<ApproxCommuteEmbedding> tuned =
+      ApproxCommuteEmbedding::Build(*graph, optimized);
+  ASSERT_TRUE(tuned.ok()) << tuned.status().ToString();
+
+  const DenseMatrix reference = SolveEmbeddingPerColumn(*graph, optimized);
+  const DenseMatrix& b = tuned->embedding();
+  ASSERT_EQ(reference.rows(), b.rows());
+  ASSERT_EQ(reference.cols(), b.cols());
+  EXPECT_EQ(std::memcmp(reference.data().data(), b.data().data(),
+                        b.data().size() * sizeof(double)),
             0);
 }
 

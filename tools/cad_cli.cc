@@ -51,7 +51,6 @@ int Run(int argc, char** argv) {
   bool classify = true;
   bool warm_start = false;
   double refactor_threshold = 0.1;
-  bool block_solver = false;
   std::string preconditioner = "auto";
   flags.AddString("input", &input,
                   "temporal edge list file (this or --events is required)");
@@ -83,9 +82,6 @@ int Run(int argc, char** argv) {
   flags.AddDouble("refactor_threshold", &refactor_threshold,
                   "relative Laplacian-diagonal drift above which a cached "
                   "IC(0) factor is rebuilt under --warm_start");
-  flags.AddBool("block_solver", &block_solver,
-                "advance the k CG systems in lockstep sharing each sparse "
-                "sweep (bit-identical results, fewer memory passes)");
   flags.AddString("preconditioner", &preconditioner,
                   "CG preconditioner: auto, none, jacobi, or ic0 (auto = "
                   "ic0 under --warm_start, else jacobi)");
@@ -221,7 +217,6 @@ int Run(int argc, char** argv) {
   options.cad.approx.cg.num_threads = static_cast<size_t>(threads);
   options.warm_start = warm_start;
   options.refactor_threshold = refactor_threshold;
-  options.block_solver = block_solver;
   // "auto" upgrades warm-started runs to IC(0): the factorization is
   // amortized across snapshots by the cache, so its higher build cost pays
   // for itself; cold runs keep the cheap Jacobi default.
