@@ -146,6 +146,10 @@ struct HistogramData {
   double Quantile(double q) const;
 };
 
+/// Point-in-time HistogramData view of one live histogram, shaped exactly
+/// like MetricsRegistry::Snapshot's export so Quantile applies.
+HistogramData SnapshotHistogram(const Histogram& histogram);
+
 struct TimerData {
   uint64_t count = 0;
   uint64_t total_ns = 0;

@@ -134,9 +134,9 @@ FleetOptions FleetFor(const std::string& data_dir,
   FleetOptions options;
   options.num_workers = 4;
   options.data_dir = data_dir;
-  options.tenant.monitor = monitor;
-  options.tenant.window_length = 1.0;
-  options.tenant.checkpoint_every = 2;
+  options.tenant.session.monitor = monitor;
+  options.tenant.session.window_length = 1.0;
+  options.tenant.session.checkpoint_every = 2;
   return options;
 }
 
@@ -279,7 +279,7 @@ TEST(FleetBackpressureTest, EveryRejectionIsCountedAndNothingIsDropped) {
   FleetOptions options = FleetFor(dir.path(), ExactMonitor());
   options.num_workers = 1;
   options.tenant.queue_capacity_events = 8;  // tiny: force rejections
-  options.tenant.checkpoint_every = 0;
+  options.tenant.session.checkpoint_every = 0;
   Result<std::unique_ptr<TenantFleet>> fleet = TenantFleet::Create(options);
   ASSERT_TRUE(fleet.ok());
   ASSERT_TRUE((*fleet)->Open("bp").ok());
@@ -319,7 +319,7 @@ TEST(FleetCacheBudgetTest, EvictsIdleTenantsDownToTheBudget) {
   {
     ScopedTempDir dir;
     FleetOptions options = FleetFor(dir.path(), ApproxWarmStartMonitor());
-    options.tenant.checkpoint_every = 0;
+    options.tenant.session.checkpoint_every = 0;
     Result<std::unique_ptr<TenantFleet>> fleet = TenantFleet::Create(options);
     ASSERT_TRUE(fleet.ok());
     ASSERT_TRUE((*fleet)->Open("warm").ok());
@@ -332,7 +332,7 @@ TEST(FleetCacheBudgetTest, EvictsIdleTenantsDownToTheBudget) {
   {
     ScopedTempDir dir;
     FleetOptions options = FleetFor(dir.path(), ApproxWarmStartMonitor());
-    options.tenant.checkpoint_every = 0;
+    options.tenant.session.checkpoint_every = 0;
     options.cache_budget_bytes = 1;  // anything warm is over budget
     Result<std::unique_ptr<TenantFleet>> fleet = TenantFleet::Create(options);
     ASSERT_TRUE(fleet.ok());
@@ -360,7 +360,7 @@ TEST(FleetCacheBudgetTest, EvictsIdleTenantsDownToTheBudget) {
 TEST(TenantStaleCheckpointTest, CheckpointAheadOfReplayedStreamIsIoError) {
   ScopedTempDir dir;
   TenantOptions options;
-  options.monitor = ExactMonitor();
+  options.session.monitor = ExactMonitor();
   options.checkpoint_path = dir.path() + "/stale.ckpt";
   options.output_path = dir.path() + "/stale.csv";
 
@@ -393,7 +393,7 @@ TEST(TenantStaleCheckpointTest, CheckpointAheadOfReplayedStreamIsIoError) {
 
 TEST(TenantFinishTest, SecondFinishAndPostFinishBatchesAreRejected) {
   TenantOptions options;
-  options.monitor = ExactMonitor();
+  options.session.monitor = ExactMonitor();
   Result<std::unique_ptr<Tenant>> tenant = Tenant::Create("once", options);
   ASSERT_TRUE(tenant.ok());
   const std::vector<WireEvent> events =
@@ -441,7 +441,7 @@ RunStress(size_t workers) {
   ScopedTempDir dir;
   FleetOptions options = FleetFor(dir.path(), ExactMonitor());
   options.num_workers = workers;
-  options.tenant.checkpoint_every = 0;
+  options.tenant.session.checkpoint_every = 0;
   // Ample capacity: rejections depend on scheduling and must stay 0 for
   // the cross-thread-count metric comparison.
   options.tenant.queue_capacity_events = 1u << 20;
