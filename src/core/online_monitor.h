@@ -141,8 +141,6 @@ class OnlineCadMonitor {
     return vocabulary_.has_value() ? &*vocabulary_ : nullptr;
   }
 
-  void ClearVocabulary() { vocabulary_.reset(); }
-
   /// Attaches a heartbeat reporter (not owned; must outlive the monitor or
   /// be detached with nullptr). Observe ticks it after every successful
   /// window, so with StatsReporter(out, N) one heartbeat line is emitted per

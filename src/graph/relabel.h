@@ -25,13 +25,6 @@ struct Relabeling {
   std::vector<uint32_t> old_id;
 
   size_t size() const { return new_id.size(); }
-
-  bool IsIdentity() const {
-    for (size_t i = 0; i < new_id.size(); ++i) {
-      if (new_id[i] != i) return false;
-    }
-    return true;
-  }
 };
 
 /// \brief Degree-descending relabeling: position 0 gets the highest-degree

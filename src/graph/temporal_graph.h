@@ -56,8 +56,6 @@ class TemporalGraphSequence {
     return vocabulary_.has_value() ? &*vocabulary_ : nullptr;
   }
 
-  void ClearVocabulary() { vocabulary_.reset(); }
-
   /// Snapshot at time t (0-based). Bounds-checked.
   const WeightedGraph& Snapshot(size_t t) const {
     CAD_CHECK_LT(t, snapshots_.size());

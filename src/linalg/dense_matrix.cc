@@ -123,17 +123,6 @@ Status DenseMatrix::CheckFinite() const {
   return Status::OK();
 }
 
-Status DenseMatrix::CheckShape(size_t expected_rows,
-                               size_t expected_cols) const {
-  if (rows_ != expected_rows || cols_ != expected_cols) {
-    return Status::InvalidArgument(
-        "DenseMatrix: shape " + std::to_string(rows_) + "x" +
-        std::to_string(cols_) + " != expected " +
-        std::to_string(expected_rows) + "x" + std::to_string(expected_cols));
-  }
-  return Status::OK();
-}
-
 std::string DenseMatrix::ToString(int precision) const {
   std::ostringstream os;
   os.precision(precision);

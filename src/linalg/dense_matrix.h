@@ -50,7 +50,6 @@ class DenseMatrix {
   }
 
   const std::vector<double>& data() const { return data_; }
-  std::vector<double>& mutable_data() { return data_; }
 
   /// Pointer to the start of row `i`.
   const double* row(size_t i) const {
@@ -92,10 +91,6 @@ class DenseMatrix {
   /// \brief Structural validation for CAD_DCHECK_OK at dense-solver entry
   /// points: data size matches rows*cols and every entry is finite. O(n*m).
   [[nodiscard]] Status CheckFinite() const;
-
-  /// \brief Validates this matrix has exactly the given shape.
-  [[nodiscard]] Status CheckShape(size_t expected_rows,
-                                  size_t expected_cols) const;
 
   /// Debug rendering, one row per line.
   std::string ToString(int precision = 4) const;

@@ -54,8 +54,6 @@ class CooMatrix {
     if (row != col) Add(col, row, value);
   }
 
-  void Reserve(size_t capacity) { triplets_.reserve(capacity); }
-
   const std::vector<Triplet>& triplets() const { return triplets_; }
 
   /// Converts to CSR. Duplicate coordinates are summed; entries that sum to

@@ -67,14 +67,4 @@ int StopWakeupFd() { return g_wakeup_read; }
 
 void RequestStop(int signo) { StopHandler(signo); }
 
-void ResetStopForTesting() {
-  g_stop_requested.store(0, std::memory_order_release);
-  g_stop_signal.store(0, std::memory_order_relaxed);
-  if (g_wakeup_read >= 0) {
-    char buffer[64];
-    while (::read(g_wakeup_read, buffer, sizeof(buffer)) > 0) {
-    }
-  }
-}
-
 }  // namespace cad::server

@@ -36,10 +36,6 @@ int StopWakeupFd();
 /// through identical code.
 void RequestStop(int signo);
 
-/// Test hook: clears the flag and drains the self-pipe; handlers stay
-/// installed.
-void ResetStopForTesting();
-
 }  // namespace cad::server
 
 #endif  // CAD_SERVER_SIGNAL_UTIL_H_

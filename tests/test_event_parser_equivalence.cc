@@ -238,7 +238,7 @@ void ExpectSameReads(const std::string& corpus, EventErrorPolicy policy,
         << "line " << fast.line_number() << ": " << a.weight << " vs "
         << b.weight;
   }
-  EXPECT_EQ(fast.events_rejected(), reference.events_rejected());
+  EXPECT_EQ(fast.events_rejected_parse(), reference.events_rejected());
   EXPECT_EQ(fast_vocabulary, reference_vocabulary);
 }
 
